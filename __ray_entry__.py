@@ -11,8 +11,12 @@ recursive-CTE connected-components oracle for cluster roots); the KG family
 kg_search via an export seam (the query writes its trusted flat inputs —
 candidate pairs / per-window hashes / flat mentions + key map — to
 /tmp/ner_ray_oracle and the oracle re-derives the distributed
-aggregation/ranking in SQL). Every entry is oracle-checked; approximation
-quality (LSH recall, cluster content) is additionally pinned by tests/.
+aggregation/ranking in SQL). The driver oracle-checks only the FIRST 50
+``queries()`` entries each round (the ``QUERIES`` ordering contract in
+ner_backend_ray/pipelines/queries.py); the entries past that window are not
+driver-checked, and rely on tests/test_entry.py, which checks every
+``oracle_sql()`` entry against DuckDB at sf0.001. Approximation quality (LSH
+recall, cluster content) is additionally pinned by tests/.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing here (or
 in the library) calls ray.init()/ray.shutdown().

@@ -26,7 +26,9 @@ def _replace_punct(text: bytes) -> bytes:
     # preprocess.go:18-34 — both substitutions are length-preserving.
     new = _PUNCT_THEN_SPACE.sub(rb"\1 \2", text)
     new = _SPACE_THEN_PUNCT.sub(rb"\1 \2", new)
-    assert len(new) == len(text)
+    if len(new) != len(text):
+        raise RuntimeError("punctuation replacement changed the length "
+                           f"{len(text)} -> {len(new)}")
     return new
 
 

@@ -215,7 +215,9 @@ def resolve_roots_budgeted(pairs: ray.data.Dataset, a_col: str = "a",
     the metrics actor."""
     out = resolve_roots_or_stars(pairs, a_col, b_col, budget=budget,
                                  star_budget=None)
-    assert isinstance(out, dict)
+    if not isinstance(out, dict):
+        raise RuntimeError("resolve_roots_or_stars(star_budget=None) must "
+                           f"collect a dict, got {type(out).__name__}")
     return out
 
 

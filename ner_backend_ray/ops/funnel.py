@@ -190,40 +190,48 @@ def retention_cohorts(events: ray.data.Dataset, period: int,
                       "ts": batch[ts_col].cast(pa.int64())})
         return t.append_column("__b", _bucket_of(t[key_col], n_buckets))
 
-    def bucket_cohorts(g: pa.Table) -> pa.Table:
-        empty = pa.table({"cohort": pa.array([], pa.int64()),
-                          "offset": pa.array([], pa.int64()),
-                          "pn": pa.array([], pa.int64())})
-        if g.num_rows == 0:
-            return empty
-        idx = pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
-                                            ("ts", "ascending")])
-        t = g.take(idx)
-        k = np.asarray(t[key_col].to_numpy(zero_copy_only=False))
-        per = t["ts"].to_numpy(zero_copy_only=False) // period
-        n = len(k)
-        newu = np.empty(n, dtype=bool)
-        newu[0] = True
-        newu[1:] = k[1:] != k[:-1]
-        slot = np.cumsum(newu) - 1
-        cohort_of = per[newu]               # first (min-ts) period per user
-        off = per - cohort_of[slot]
-        # distinct (user, offset) pairs; offsets are small (periods since
-        # cohort), so slot << 20 | off is collision-free far past any real
-        # period count and np.unique stays a single int64 pass
-        assert int(off.max()) < (1 << 20), "offset exceeds fused-key range"
-        pairs = np.unique((slot.astype(np.int64) << 20) | off)
-        uslot = (pairs >> 20).astype(np.int64)
-        uoff = (pairs & ((1 << 20) - 1)).astype(np.int64)
-        key = (cohort_of[uslot] << 20) | uoff
-        cnt = np.unique(key, return_counts=True)
-        return pa.table({"cohort": pa.array(cnt[0] >> 20, pa.int64()),
-                         "offset": pa.array(cnt[0] & ((1 << 20) - 1),
-                                            pa.int64()),
-                         "pn": pa.array(cnt[1].astype(np.int64))})
-
     return (events.map_batches(tag, batch_format="pyarrow")
-            .groupby("__b").map_groups(bucket_cohorts,
-                                       batch_format="pyarrow")
+            .groupby("__b").map_groups(
+                _bucket_cohorts, batch_format="pyarrow",
+                fn_kwargs={"key_col": key_col, "period": period})
             .groupby(["cohort", "offset"])
             .aggregate(Sum("pn", alias_name="n_users")))
+
+
+def _bucket_cohorts(g: pa.Table, key_col: str, period: int) -> pa.Table:
+    """Per-bucket kernel of :func:`retention_cohorts` over (key, "ts") rows:
+    (cohort, offset, partial user count)."""
+    empty = pa.table({"cohort": pa.array([], pa.int64()),
+                      "offset": pa.array([], pa.int64()),
+                      "pn": pa.array([], pa.int64())})
+    if g.num_rows == 0:
+        return empty
+    idx = pc.sort_indices(g, sort_keys=[(key_col, "ascending"),
+                                        ("ts", "ascending")])
+    t = g.take(idx)
+    k = np.asarray(t[key_col].to_numpy(zero_copy_only=False))
+    per = t["ts"].to_numpy(zero_copy_only=False) // period
+    n = len(k)
+    newu = np.empty(n, dtype=bool)
+    newu[0] = True
+    newu[1:] = k[1:] != k[:-1]
+    slot = np.cumsum(newu) - 1
+    cohort_of = per[newu]               # first (min-ts) period per user
+    off = per - cohort_of[slot]
+    # distinct (user, offset) pairs; offsets are small (periods since
+    # cohort), so slot << 20 | off is collision-free far past any real
+    # period count and np.unique stays a single int64 pass
+    if int(off.max()) >= (1 << 20):
+        raise ValueError(
+            f"retention_cohorts: an offset of {int(off.max())} periods "
+            "exceeds the fused-key range (< 2**20); use a longer period")
+    pairs = np.unique((slot.astype(np.int64) << 20) | off)
+    uslot = (pairs >> 20).astype(np.int64)
+    uoff = (pairs & ((1 << 20) - 1)).astype(np.int64)
+    key = (cohort_of[uslot] << 20) | uoff
+    cnt = np.unique(key, return_counts=True)
+    return pa.table({"cohort": pa.array(cnt[0] >> 20, pa.int64()),
+                     "offset": pa.array(cnt[0] & ((1 << 20) - 1),
+                                        pa.int64()),
+                     "pn": pa.array(cnt[1].astype(np.int64))})
+

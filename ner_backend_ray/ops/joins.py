@@ -294,8 +294,10 @@ def range_window_pairs(lkey: np.ndarray, lon: np.ndarray,
     rrank = np.searchsorted(uniq, rkey)
     base = min(lon.min() + low_offset, ron.min())
     span = int(max(lon.max() + high_offset, ron.max() + 1) - base)
-    assert len(uniq) < (1 << 62) // max(span, 1), \
-        "range_join composite overflow: raise n_buckets"
+    if len(uniq) >= (1 << 62) // max(span, 1):
+        raise ValueError(
+            f"range_join composite overflow: {len(uniq)} keys * span {span} "
+            "exceeds the int64 composite; raise n_buckets")
     rcomp = rrank * span + (ron - base)
     order = np.argsort(rcomp, kind="stable")
     rcomp = rcomp[order]

@@ -13,8 +13,9 @@ Normalization applied (conservative, lossless for page identity):
 - ``www.`` host prefix dropped,
 - default ports stripped (``:80`` for http, ``:443`` for https),
 - fragment (``#…``) dropped,
-- tracking query parameters dropped (``utm_*``, ``gclid``, ``fbclid``),
-  with separator cleanup (dangling ``?``/``&``),
+- tracking query parameters dropped (``utm_*``, ``gclid``, ``fbclid``) — only
+  whole parameter names in the query, never the path — with separator
+  cleanup (dangling ``?``/``&``),
 - trailing ``/`` dropped (except the bare root, which normalizes to no
   trailing slash too — host root and host-slash are the same resource).
 
@@ -31,9 +32,11 @@ import pyarrow.compute as pc
 
 import ray.data
 
-# tracking parameter at any position, eating ONE adjacent separator so the
-# remainder stays well-formed; a final pass drops a dangling '?' or '&'
-_TRACK = r"(utm_[^&=#]*|gclid|fbclid)=[^&#]*&?"
+# a tracking parameter of the query, with the separator before it: a
+# parameter whose name merely ends in one (``?xgclid=``, ``?my_utm_x=``) does
+# not match. Applied to the query part only; a query left starting with '&'
+# gets its '?' back, and a final pass drops a dangling '?' or '&'
+_TRACK = r"[?&](utm_[^&=#]*|gclid|fbclid)=[^&#]*"
 _DANGLING = r"[?&]$"
 
 
@@ -61,7 +64,11 @@ def canonicalize_url_column(url: pa.ChunkedArray | pa.Array) -> pa.Array:
                                        max_replacements=1),
             host))
     rest = pc.replace_substring_regex(rest, r"#.*$", "", max_replacements=1)
-    rest = pc.replace_substring_regex(rest, _TRACK, "")
+    split = pc.extract_regex(rest, r"^(?P<path>[^?]*)(?P<query>.*)$")
+    query = pc.replace_substring_regex(pc.struct_field(split, "query"),
+                                       _TRACK, "")
+    query = pc.replace_substring_regex(query, r"^&", "?", max_replacements=1)
+    rest = pc.binary_join_element_wise(pc.struct_field(split, "path"), query, "")
     rest = pc.replace_substring_regex(rest, _DANGLING, "",
                                       max_replacements=1)
     rest = pc.replace_substring_regex(rest, r"/$", "", max_replacements=1)

@@ -40,7 +40,6 @@ class KGConfig:
     })
     min_link_score: float = 0.0
     batch_size: int = 256
-    link_concurrency: int = 2
     tag_concurrency: int | None = None  # None → auto (num_cpus based)
 
 

@@ -9,16 +9,19 @@ on boot, no partial-task resume). Ours is file-system-native:
   scale a shard is a ~200 MB-10 GB file, processor.go:715-718).
 - Phase 1 (embarrassingly parallel, no shuffle) runs as an actor-pool ``map_batches``
   over the *task list* dataset: each call processes one file through the same
-  extract→tag→link→triple stage functions as the streaming pipeline, writes
-  ``{out}/{table}/part-{pid}.parquet`` atomically (tmp + rename), and finally writes
-  ``{out}/_lineage/part-{pid}.json`` with input fingerprint + row counters. A
-  partition's outputs are a pure function of its input file, so resumed runs are
-  byte-identical.
+  extract → ``TagDocs`` kernel as the streaming pipeline, built from the same
+  ``tag_docs_kwargs``, so linking happens inside ``TagDocs`` and ``docs`` carries
+  linked mentions and triples. It writes ``{out}/{table}/part-{pid}.parquet``
+  atomically (tmp + rename) for ``docs`` and its flat explodes (``mentions``,
+  ``groups``, ``triples``), and finally ``{out}/_lineage/part-{pid}.json`` with
+  input fingerprint + row counters. A partition's outputs are a pure function of
+  its input file, so resumed runs are byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten.
-- Phase 2 (the shuffles: canonicalize, nodes, edges) reads the phase-1 Parquet and
-  re-runs whole; it is cheap relative to phase 1 and guarded by a ``_SUCCESS``
-  marker with the set of contributing partitions.
+- Phase 2 (the shuffles: canonicalize, nodes, edges) reads ``{out}/docs`` into the
+  streaming pipeline's graph builder (``kg_tables``), asking it for nodes and edges
+  only, and re-runs whole; it is cheap relative to phase 1 and guarded by a
+  ``_SUCCESS`` marker with the set of contributing partitions.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ import ray.data
 
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
-from ..stages.link import LinkMentions, LinkTriples
 from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
+from .kg import actor_pool, kg_tables, tag_docs_kwargs
 
 PHASE1_TABLES = ("docs", "mentions", "groups", "triples")
 
@@ -54,16 +57,12 @@ def _atomic_write(table: pa.Table, path: str) -> None:
 
 
 class PartitionWorker:
-    """Actor: model + alias dict loaded once; each __call__ processes whole input
-    files (batch of task rows) and checkpoints them."""
+    """Actor: model + alias dict loaded once (in the shared ``TagDocs`` kernel);
+    each __call__ processes whole input files (batch of task rows) and
+    checkpoints them."""
 
     def __init__(self, cfg: KGConfig, fixture_dir: str, out_dir: str, batch_size: int):
-        self.tagger = TagDocs(model_type=cfg.model_type, model_kwargs=cfg.model_kwargs,
-                              tags=cfg.tags, custom_patterns=cfg.custom_patterns,
-                              group_queries=cfg.group_queries, text_column="html")
-        alias_path = os.path.join(fixture_dir, "alias_dict.parquet")
-        self.link_mentions = LinkMentions(alias_path, cfg.min_link_score)
-        self.link_triples = LinkTriples(alias_path, cfg.min_link_score)
+        self.tagger = TagDocs(**tag_docs_kwargs(cfg, fixture_dir))
         self.out_dir = out_dir
         self.batch_size = batch_size
 
@@ -85,9 +84,9 @@ class PartitionWorker:
             tbl = extract_text_batch(tbl)
             docs = self.tagger(tbl.select(["url", "html"]))
             docs_parts.append(docs)
-            mention_parts.append(self.link_mentions(explode_mentions(docs)))
+            mention_parts.append(explode_mentions(docs))
             group_parts.append(explode_groups(docs))
-            triple_parts.append(self.link_triples(explode_triples(docs)))
+            triple_parts.append(explode_triples(docs))
 
         tables = {
             "docs": pa.concat_tables(docs_parts),
@@ -148,15 +147,14 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
     skipped = len(files) - len(tasks)
     if tasks:
-        if concurrency is None:
-            concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-        concurrency = min(concurrency, len(tasks))
+        actors, cpus_per_actor = actor_pool(concurrency, max_actors=len(tasks))
         (ray.data.from_items(tasks)
             .map_batches(PartitionWorker,
                          fn_constructor_kwargs=dict(cfg=cfg, fixture_dir=fixture_dir,
                                                     out_dir=out_dir,
                                                     batch_size=cfg.batch_size),
-                         batch_size=1, concurrency=concurrency, num_cpus=1)
+                         batch_size=1, concurrency=actors,
+                         num_cpus=cpus_per_actor)
             .materialize())
 
     done = completed_partitions(out_dir)
@@ -169,9 +167,8 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
 
 def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> dict:
-    """Shuffle phase over phase-1 Parquet: nodes + edges, sorted, written with a
-    _SUCCESS marker recording the contributing partitions."""
-    from .kg import kg_tables_from_parquet
+    """Shuffle phase over the phase-1 ``docs`` Parquet: nodes + edges, sorted,
+    written with a _SUCCESS marker recording the contributing partitions."""
     cfg = cfg or KGConfig()
     done = sorted(completed_partitions(out_dir))
     marker = os.path.join(out_dir, "graph", "_SUCCESS")
@@ -180,8 +177,13 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
             if json.load(f).get("partitions") == done:
                 return {"skipped": True}
 
-    counts = kg_tables_from_parquet(out_dir, cfg, fixture_dir,
-                                    os.path.join(out_dir, "graph"))
+    docs = ray.data.read_parquet(os.path.join(out_dir, "docs"))
+    os.makedirs(os.path.dirname(marker), exist_ok=True)
+    counts = {}
+    for name, ds in kg_tables(docs, cfg, fixture_dir,
+                              tables=("nodes", "edges")).items():
+        ds.write_parquet(os.path.join(out_dir, "graph", name))
+        counts[name] = ds.count()
     with open(marker, "w") as f:
         json.dump({"partitions": done, **counts}, f)
     return {"skipped": False, **counts}

@@ -1,25 +1,45 @@
-"""The flagship KG-construction pipeline, streaming Ray Data form.
+"""The flagship KG-construction pipeline and its one graph builder.
 
-Target lifecycle (SURVEY.md §3.4):
+    read_parquet(pages)                           [driver plans blocks]
+      → map_batches(extract_text_batch)           [stateless; byte-identity invariant]
+      → map_batches(TagDocs, concurrency=N, ...)  [ONE actor pool: clean→tag→validate→
+                                                   coalesce→groups→triples→link per doc;
+                                                   model + alias dict load once per actor]
+      → kg_tables(docs)                           [the graph builder below]
 
-    read_parquet(pages)                               [driver plans blocks]
-      → map_batches(extract_text_batch)               [stateless; byte-identity invariant]
-      → map_batches(TagDocs, concurrency=N, ...)      [ONE actor pool: clean→tag→validate→
-                                                       coalesce→groups→triples→link per doc;
-                                                       model + alias dict load once per actor]
-      → explode to mentions / groups / triples        [stateless, vectorized]
-      → combiner map_batches + groupby shuffles       [canonicalize, edge dedup]
-      → sort(canonical_id) → write_parquet
+``kg_tables`` is the only graph builder. The streaming runner feeds it the
+materialized docs dataset; the checkpointed runner (pipelines/checkpointed.py)
+feeds it the phase-1 ``docs/`` Parquet, built by the same ``TagDocs`` kernel
+with the same ``tag_docs_kwargs``. The builder is a declared table of stages,
+name → (deps, lane, fn), and one small scheduler (``_run_stages``) runs the
+ancestors of the requested tables, each on its lane's threads once its deps
+are done:
 
-Everything upstream of canonicalization is embarrassingly parallel per-url; the only
-shuffles are the three listed in SURVEY.md §4. The per-doc phase is consumed by
-several downstream tables, so callers either materialize the (small, html-free) doc
-dataset or run the checkpointed runner which persists it per-partition.
+    parts      docs  → ONE combined-partials scan (LSH band rows, node
+                       partials, raw-key edge partials, group rows)
+    mentions   docs  → flat linked mentions
+    triples    docs  → flat linked triples
+    groups     parts → (url, group_name)
+    root_map   parts → MinHash-LSH root map: a broadcast dict under the
+                       budget, a (node, root) star-forest Dataset above it
+    nodes_pre  parts → one row per entity key
+    edges_raw  parts → edge partials summed per raw key triple
+    keyed      nodes_pre + root_map → entity rows with canonical_id
+    key_map    keyed → (entity_key, canonical_id), the oracle export
+    nodes      keyed → sorted, merged nodes
+    edges      edges_raw + root_map → sorted, merged edges
+
+Roots reach the one node kernel and the one edge kernel either as the
+broadcast dict or as star-join columns. The only shuffles are the partials
+compaction, the groupbys over the compacted partials, the two output sorts
+and, above the broadcast budget, the star-forest joins.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -29,8 +49,9 @@ import ray
 import ray.data
 
 from ..oracle import KGConfig
-from ..stages.canonicalize import (bucket_pairs, canonical_id, lsh_band_arrays,
-                                   finalize_node_group, partial_node_counts)
+from ..stages.canonicalize import (LSH_BANDS, bucket_pairs, canonical_id,
+                                   finalize_node_group, lsh_band_arrays,
+                                   partial_node_counts)
 from ..stages.extract import extract_text_batch
 from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
 
@@ -38,16 +59,13 @@ from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_trip
 # Pair-count budget for driver-side union-find; above it, near-dup cluster
 # resolution runs as distributed connected components (ops/cc.py).
 _CC_BUDGET = 500_000
-
-
-def _auto_concurrency(cfg: KGConfig) -> int:
-    if cfg.tag_concurrency is not None:
-        return cfg.tag_concurrency
-    try:
-        n = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        n = 4
-    return max(2, n - 2)  # leave CPUs for read/explode/write stages
+# From this cluster width on, one docs scan saturates memory bandwidth, so the
+# scan lane runs the three docs scans one at a time (measured at 32 CPUs,
+# sf0.8: mentions 2.4 s alone vs 7.7 s beside triples; graph phase 13.6 s
+# overlapped vs 10.9 s serialized). Below it one scan can't fill the cluster
+# and overlap wins (6.0 s at 8 CPUs).
+_SERIAL_SCAN_CPUS = 16
+KG_TABLES = ("mentions", "groups", "triples", "nodes", "edges", "key_map")
 
 
 def _cluster_cpus() -> int:
@@ -57,24 +75,36 @@ def _cluster_cpus() -> int:
         return 4
 
 
+def actor_pool(concurrency: int | None = None,
+                max_actors: int | None = None) -> tuple[int, float]:
+    """(actors, CPUs per actor) of a one-actor-per-core pool: ``concurrency``
+    actors, default the cluster's CPUs less two for the read/extract/write
+    tasks around the pool (4 CPUs → 2 actors × 1 CPU), at most
+    ``max_actors``. The pool never reserves more than CPUs - 1, or the tasks
+    feeding it starve and the run hangs: on 2 CPUs it is 1 actor × 1 CPU, on
+    1 CPU 1 actor × 0 CPUs that shares the core with them."""
+    cpus = _cluster_cpus()
+    actors = concurrency or max(1, cpus - 2)
+    if max_actors is not None:
+        actors = min(actors, max_actors)
+    return actors, min(1.0, max(0, cpus - 1) / actors)
 
-def _compact_small(cpus: int | None = None) -> int:
+
+def _compact_small() -> int:
     """Block target for compacting SMALL derived row-sets (LSH band rows,
     grouped partials) before a sort shuffle: tracks cluster width so reduce
     parallelism grows with the cluster instead of pinning at this sandbox's
     tuned constant, floored at the measured-good single-node value."""
-    c = cpus if cpus is not None else _cluster_cpus()
-    return max(8, c // 4)
+    return max(8, _cluster_cpus() // 4)
 
 
-def _edge_buckets(cpus: int | None = None) -> int:
+def _edge_buckets() -> int:
     """Edge-dedup reduce width: tracks cluster size (2 buckets per core,
     floored at the measured-good single-node value) instead of the fixed
     ``& 63`` mask the round-3 verdict flagged — a 64-way reduce caps the
     final edge aggregation at 64 tasks on a 4000-core cluster, and a skewed
     predicate distribution makes the cap worse."""
-    c = cpus if cpus is not None else _cluster_cpus()
-    return max(64, 2 * c)
+    return max(64, 2 * _cluster_cpus())
 
 
 def _bucket_hash(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
@@ -87,14 +117,6 @@ def _bucket_hash(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
     return pa.array((h % n_buckets).astype("int64"))
 
 
-def _compact_wide(cpus: int | None = None) -> int:
-    """Block target for compacting combiner partials that are proportional to
-    distinct keys (node/edge partials): one block per core, floored at the
-    measured single-node value."""
-    c = cpus if cpus is not None else _cluster_cpus()
-    return max(32, c)
-
-
 def _read_blocks() -> int:
     """Read blocks = an EXACT MULTIPLE of the tag-actor-pool size, ≥48.
 
@@ -103,15 +125,14 @@ def _read_blocks() -> int:
     (30 actors), 48 blocks meant wave 2 ran 18/30 actors, idling 20% of
     pool-seconds, a cost that hits ONLY the wide leg (at 8 CPUs / 6 actors 48
     is already a multiple) and so directly depresses scaling efficiency.
-    The floor (48) keeps task quanta fine on small clusters; the cap bounds
-    the ~20 ms/block driver cost of the 6 downstream executions over the
-    materialized docs. The docs dataset is deliberately NEVER repartitioned:
-    Ray's shuffle=False repartition funnels all data through a single reduce
-    task (measured ~19 s for 2 GB) — a serial, data-proportional cost that
-    would cap scaling efficiency."""
-    actors = max(2, _cluster_cpus() - 2)
-    min_waves = int(os.environ.get("GRAFT_READ_WAVES", "4"))
-    waves = max(min_waves, -(-48 // actors))  # ≥min_waves full waves, ≥48 blocks
+    The floor (48 blocks, 4 waves) keeps task quanta fine on small clusters;
+    the cap bounds the ~20 ms/block driver cost of the downstream executions
+    over the materialized docs. The docs dataset is deliberately NEVER
+    repartitioned: Ray's shuffle=False repartition funnels all data through a
+    single reduce task (measured ~19 s for 2 GB) — a serial,
+    data-proportional cost that would cap scaling efficiency."""
+    actors, _ = actor_pool()
+    waves = max(4, -(-48 // actors))      # ≥4 full waves, ≥48 blocks
     blocks = actors * waves
     if blocks > 256:                      # bound driver per-block cost…
         blocks = actors * max(1, 256 // actors)   # …but stay a multiple
@@ -127,6 +148,17 @@ def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
                                  filesystem=wrap_for_arrow(filesystem))
 
 
+def tag_docs_kwargs(cfg: KGConfig, fixture_dir: str) -> dict:
+    """``TagDocs`` constructor kwargs: the one per-doc phase-1 kernel both
+    runners build. Linking is fused into it, so docs leave it with linked
+    mentions and triples."""
+    return dict(model_type=cfg.model_type, model_kwargs=cfg.model_kwargs,
+                tags=cfg.tags, custom_patterns=cfg.custom_patterns,
+                group_queries=cfg.group_queries, text_column="html",
+                alias_path=os.path.join(fixture_dir, "alias_dict.parquet"),
+                min_link_score=cfg.min_link_score)
+
+
 def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.data.Dataset:
     """pages → per-doc nested dataset (url, token_count, mentions, groups, triples).
 
@@ -139,32 +171,16 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     # the tagger works on raw bytes (html); drop everything else before the actor
     # pool so only (url, html) moves through the object store
     ds = ds.select_columns(["url", "html"])
+    actors, cpus_per_actor = actor_pool(cfg.tag_concurrency)
     return ds.map_batches(
         TagDocs,
-        fn_constructor_kwargs=dict(
-            model_type=cfg.model_type, model_kwargs=cfg.model_kwargs,
-            tags=cfg.tags, custom_patterns=cfg.custom_patterns,
-            group_queries=cfg.group_queries, text_column="html",
-            alias_path=os.path.join(fixture_dir, "alias_dict.parquet"),
-            min_link_score=cfg.min_link_score),
+        fn_constructor_kwargs=tag_docs_kwargs(cfg, fixture_dir),
         batch_size=cfg.batch_size,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=_auto_concurrency(cfg),
-        num_cpus=1,
+        concurrency=actors,
+        num_cpus=cpus_per_actor,
     )
-
-
-def _linked_mentions(docs: ray.data.Dataset, cfg: KGConfig, alias_path: str) -> ray.data.Dataset:
-    """Flat linked mentions. When the tag stage fused linking (it always does in
-    this pipeline) the explode passes the link columns straight through; the
-    standalone LinkMentions actor pool remains for pipelines that tag without a
-    dictionary (pipelines/checkpointed.py composes it explicitly)."""
-    return docs.map_batches(explode_mentions, batch_format="pyarrow")
-
-
-def _linked_triples(docs: ray.data.Dataset, cfg: KGConfig, alias_path: str) -> ray.data.Dataset:
-    return docs.map_batches(explode_triples, batch_format="pyarrow")
 
 
 def _cid_from_cols(keys, roots=None, root_map: dict | None = None) -> pa.Array:
@@ -189,152 +205,173 @@ def _cid_from_cols(keys, roots=None, root_map: dict | None = None) -> pa.Array:
                    pc.index_in(keys, value_set=u))
 
 
+def _canonical(batch: pa.Table, key: str, root_map) -> pa.Array:
+    """canonical_id of ``batch[key]``, its roots taken from the star-join
+    column ``__root_<key>`` when the batch has one, else from ``root_map``."""
+    col = "__root_" + key
+    roots = batch[col] if col in batch.column_names else None
+    return _cid_from_cols(batch[key], roots, root_map)
+
+
+def _resolved(root_map):
+    return ray.get(root_map) if isinstance(root_map, ray.ObjectRef) else root_map
+
+
+def canonicalize_nodes(batch: pa.Table, root_map=None) -> pa.Table:
+    """Entity rows → the same rows plus ``canonical_id`` (root columns
+    dropped). ``root_map``: the broadcast dict (or its ObjectRef), or None
+    when roots arrive as star-join columns."""
+    cid = _canonical(batch, "entity_key", _resolved(root_map))
+    return (batch.drop_columns([c for c in batch.column_names
+                                if c.startswith("__root_")])
+            .append_column("canonical_id", cid))
+
+
+def canonicalize_edge_partials(batch: pa.Table, root_map=None) -> pa.Table:
+    """Raw-key edge partials → partials over canonical ids, re-aggregated
+    locally (raw keys that merge under canonicalization collapse here); the
+    exact merge happens per sort partition (``_merge_edge_block``). Roots
+    as in :func:`canonicalize_nodes`."""
+    rm = _resolved(root_map)
+    return _sum_weights(pa.table({
+        "subj_id": _canonical(batch, "subj_key", rm),
+        "pred": batch["pred"],
+        "obj_id": _canonical(batch, "obj_key", rm),
+        "partial_weight": batch["partial_weight"],
+    }), ["subj_id", "pred", "obj_id"])
+
+
+def _sum_weights(t: pa.Table, by: list[str]) -> pa.Table:
+    """``partial_weight`` summed per distinct ``by`` key."""
+    agg = t.group_by(by).aggregate([("partial_weight", "sum")])
+    return agg.rename_columns(by + ["partial_weight"])
+
+
 def _join_star_roots(ds: ray.data.Dataset, key_col: str,
-                     stars: ray.data.Dataset, out_col: str) -> ray.data.Dataset:
+                     stars: ray.data.Dataset) -> ray.data.Dataset:
     """LEFT bucket-hash-join ``ds`` with the star forest (node, root),
-    appending ``out_col`` (null for unclustered keys). The Dataset-native
-    root-map application for over-budget canonicalization: nothing
-    proportional to corpus-distinct entities touches the driver."""
+    appending ``__root_<key_col>`` (null for unclustered keys). The
+    Dataset-native root-map application for over-budget canonicalization:
+    nothing proportional to corpus-distinct entities touches the driver."""
     from ..ops.joins import bucket_hash_join
+    out_col = "__root_" + key_col
     renamed = stars.map_batches(
         lambda b: b.rename_columns([key_col, out_col]), batch_format="pyarrow")
     return bucket_hash_join(ds, renamed, key_col,
                             n_buckets=max(16, _cluster_cpus()), how="left")
 
 
-def build_root_map(nodes_pre: ray.data.Dataset) -> dict[str, str] | ray.data.Dataset:
-    """MinHash-LSH clustering of unlinked surface keys. The resulting root map
-    covers only keys that actually cluster; under the broadcast budget it is a
-    driver dict (ray.put, never joined), above it a (node, root) star-forest
-    Dataset the graph phase applies via bucket hash join. Pair resolution is
-    budget-guarded: under _CC_BUDGET pairs the edge list union-finds on the
-    driver; above it (template-heavy corpora) it runs distributed connected
-    components."""
+def _rooted(ds: ray.data.Dataset, kernel, roots,
+            keys: list[str]) -> ray.data.Dataset:
+    """``kernel`` over ``ds`` with the roots of its ``keys`` columns: ``roots``
+    is the star-forest Dataset (joined in as columns) or the broadcast dict's
+    ObjectRef (passed to the kernel)."""
+    if isinstance(roots, ray.data.Dataset):
+        for key in keys:
+            ds = _join_star_roots(ds, key, roots)
+        return ds.map_batches(kernel, batch_format="pyarrow")
+    return ds.map_batches(kernel, batch_format="pyarrow",
+                          fn_kwargs={"root_map": roots})
+
+
+# ---------------------------------------------------------------------------
+# the combined-partials scan: one pass over docs, a discriminated union
+# ---------------------------------------------------------------------------
+
+def _band_rows(batch: pa.Table) -> pa.Table:
+    """LSH band rows straight from the per-doc dataset: the distinct surf:
+    keys of each batch (cross-batch duplicates are deduped in bucket_pairs),
+    so the root map has no dependency on the mentions/nodes chain."""
+    keys_arr = pc.struct_field(
+        pc.list_flatten(batch["mentions"].combine_chunks()), "entity_key")
+    u = keys_arr.unique()
+    surf = u.filter(pc.starts_with(u, "surf:"))
+    # "surf:" is ASCII so codeunit slicing == byte slicing here
+    bands, hashes = lsh_band_arrays(pc.utf8_slice_codeunits(surf, 5).to_pylist())
+    rep = pa.array(np.repeat(surf.to_numpy(zero_copy_only=False), LSH_BANDS),
+                   pa.string())
+    return pa.table({"entity_key": rep,
+                     "band": pa.array(bands.ravel(), pa.int32()),
+                     "band_hash": pa.array(hashes.ravel(), pa.int64())})
+
+
+def _raw_edge_partials(batch: pa.Table, n_buckets: int) -> pa.Table:
+    """Fused explode+combiner over RAW entity keys — needs no broadcast state,
+    so the big edge aggregation starts at phase start instead of waiting on
+    the root map (which was the graph-phase critical path: measured 16.0 s
+    edges completion vs 7.6 s root-map at sf0.4/32cpu). The canonical-root
+    mapping is applied AFTER aggregation, to the small distinct-edge table.
+    Bucketing: int64 hash of the raw key triple — Ray's sort-based aggregate
+    on multi-string keys is ~10k rows/s/core (measured); sorting an int64
+    bucket and doing the real aggregation with Arrow's C group_by inside each
+    bucket is ~100×. Only (bucket, keys, partial weight) rows shuffle."""
+    t = explode_triples(batch).select(["subj_key", "pred", "obj_key"])
+    raw = t.group_by(["subj_key", "pred", "obj_key"]).aggregate(
+        [([], "count_all")]).rename_columns(
+        ["subj_key", "pred", "obj_key", "partial_weight"])
+    key = pc.binary_join_element_wise(
+        raw["subj_key"], raw["pred"], raw["obj_key"], "\x1f")
+    return raw.add_column(0, "bucket", _bucket_hash(key, n_buckets))
+
+
+_UNION_FIELDS = [
+    ("kind", pa.int8()), ("entity_key", pa.string()),
+    ("band", pa.int32()), ("band_hash", pa.int64()),
+    ("label", pa.string()), ("surface", pa.string()),
+    ("partial_count", pa.int64()), ("bucket", pa.int64()),
+    ("subj_key", pa.string()), ("pred", pa.string()),
+    ("obj_key", pa.string()), ("partial_weight", pa.int64()),
+    ("url", pa.string()), ("group_name", pa.string()),
+]
+
+
+def combined_partials(batch: pa.Table, n_edge_buckets: int) -> pa.Table:
+    """The three combiner chains (LSH band rows, node partials, raw edge
+    partials) plus the group rows as ONE scan of docs emitting a
+    discriminated union (kind + null-padded columns). Three separate scans
+    meant three streaming executors contending for the driver GIL and
+    re-reading every block; the per-kind groupbys run over the compacted,
+    materialized union instead (a handful of blocks), so their driver cost
+    does not track the docs block count."""
+    outs = []
+    for kind, t in ((0, _band_rows(batch)),
+                    (1, partial_node_counts(explode_mentions(batch))),
+                    (2, _raw_edge_partials(batch, n_edge_buckets)),
+                    (3, explode_groups(batch))):
+        n = t.num_rows
+        cols = {}
+        for name, typ in _UNION_FIELDS:
+            if name == "kind":
+                cols[name] = pa.array(np.full(n, kind, np.int8), typ)
+            elif name in t.column_names:
+                cols[name] = t[name].cast(typ)
+            else:
+                cols[name] = pa.nulls(n, typ)
+        outs.append(pa.table(cols))
+    return pa.concat_tables(outs)
+
+
+def _of_kind(parts: ray.data.Dataset, kind: int, cols: list[str]) -> ray.data.Dataset:
+    return parts.map_batches(
+        lambda b: b.filter(pc.equal(b["kind"], kind)).select(cols),
+        batch_format="pyarrow")
+
+
+def _root_map(parts: ray.data.Dataset):
+    """MinHash-LSH clustering of unlinked surface keys → the roots of the
+    keys that cluster: the ObjectRef of a broadcast dict under the budget,
+    above it a materialized (node, root) star-forest Dataset. Pair
+    resolution is budget-guarded: under _CC_BUDGET pairs the edge list
+    union-finds on the driver, above it (template-heavy corpora) it runs
+    distributed connected components."""
     from ..ops.cc import resolve_roots_or_stars
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        col = batch["entity_key"].combine_chunks()
-        surf = col.filter(pc.starts_with(col, "surf:"))
-        # "surf:" is ASCII so codeunit slicing == byte slicing here
-        bands, hashes = lsh_band_arrays(
-            pc.utf8_slice_codeunits(surf, 5).to_pylist())
-        from ..stages.canonicalize import LSH_BANDS
-        rep = pa.array(np.repeat(surf.to_numpy(zero_copy_only=False),
-                                 LSH_BANDS), pa.string())
-        return pa.table({"entity_key": rep,
-                         "band": pa.array(bands.ravel(), pa.int32()),
-                         "band_hash": pa.array(hashes.ravel(), pa.int64())})
-
-    pairs = (nodes_pre
-             .map_batches(band_rows, batch_format="pyarrow")
-             .repartition(_compact_small())
+    pairs = (_of_kind(parts, 0, ["entity_key", "band", "band_hash"])
              .groupby(["band", "band_hash"])
              .map_groups(bucket_pairs, batch_format="pyarrow"))
-    return resolve_roots_or_stars(pairs, "entity_key", "root", budget=_CC_BUDGET)
-
-
-def build_graph(mentions: ray.data.Dataset, triples: ray.data.Dataset) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """(linked mentions, linked triples) → (nodes, edges), both sorted.
-
-    shuffle #1: canonicalization groupby over combiner partials;
-    shuffle #2: the cluster root map is broadcast (ray.put) under the budget —
-    no shuffle — and applied via bucket hash join above it (star forests
-    proportional to corpus-distinct entities never land on the driver);
-    shuffle #3: edge dedup groupby over combiner partials."""
-    # compact the (small) combiner partials to a handful of blocks before the
-    # sort shuffle: Ray's sort partitions = input blocks, so B upstream blocks
-    # would mean B² tiny shuffle objects (O(100k) at a few hundred blocks)
-    nodes_pre = (mentions
-                 .map_batches(partial_node_counts, batch_format="pyarrow")
-                 .repartition(_compact_wide())
-                 .groupby("entity_key")
-                 .map_groups(finalize_node_group, batch_format="pyarrow"))
-    # small (distinct entities) but scattered over as many tiny blocks as the
-    # mention table had — compact before the downstream shuffles so their task
-    # count tracks the data, not the upstream block count
-    nodes_pre = nodes_pre.repartition(_compact_small()).materialize()
-
-    root_map = build_root_map(nodes_pre)
-    use_star_join = isinstance(root_map, ray.data.Dataset)
-    if use_star_join:
-        stars = root_map.materialize()  # consumed by 3 joins (nodes, subj, obj)
-        root_map_ref = None
-    else:
-        root_map_ref = ray.put(root_map)
-
-    def apply_roots_nodes(batch: pa.Table) -> pa.Table:
-        cid = _cid_from_cols(batch["entity_key"],
-                             root_map=ray.get(root_map_ref))
-        return batch.append_column("canonical_id", cid)
-
-    def cid_from_join(batch: pa.Table) -> pa.Table:
-        cid = _cid_from_cols(batch["entity_key"], batch["__root"])
-        return batch.drop_columns(["__root"]).append_column("canonical_id", cid)
-
-    # the sort's range partitioner never splits equal keys across partitions,
-    # so each block holds complete canonical_id groups and the merge is one
-    # vectorized Arrow kernel per block (no per-group Python dispatch)
-    # (sortedness asserted by tests/test_pipeline_ray.py::test_graph_outputs_sorted)
-    nodes = (nodes_pre
-             .map_batches(cid_from_join if use_star_join else apply_roots_nodes,
-                          batch_format="pyarrow")
-             .sort("canonical_id")
-             .map_batches(_merge_node_block, batch_format="pyarrow",
-                          batch_size=None))
-
-    # shuffle #3: edge dedup/weights over combiner partials. canonical_id is
-    # memoized over the batch's distinct keys (few) so the per-row cost is one
-    # dict lookup; the group-count itself is a vectorized Arrow kernel.
-    def partial_edge_counts(batch: pa.Table) -> pa.Table:
-        root_map = ray.get(root_map_ref)
-        t = pa.table({
-            "subj_id": _cid_from_cols(batch["subj_key"], root_map=root_map),
-            "pred": batch["pred"],
-            "obj_id": _cid_from_cols(batch["obj_key"], root_map=root_map),
-        })
-        agg = t.group_by(["subj_id", "pred", "obj_id"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["subj_id", "pred", "obj_id", "partial_weight"])
-
-    if use_star_join:
-        # over-budget path: combiner over RAW keys (no broadcast state), then
-        # two star-forest joins apply the roots distributively
-        raw = triples.map_batches(_edge_key_partials, batch_format="pyarrow")
-        j = _join_star_roots(raw, "subj_key", stars, "__sr")
-        j = _join_star_roots(j, "obj_key", stars, "__or")
-
-        def canon_joined(batch: pa.Table) -> pa.Table:
-            t = pa.table({
-                "subj_id": _cid_from_cols(batch["subj_key"], batch["__sr"]),
-                "pred": batch["pred"],
-                "obj_id": _cid_from_cols(batch["obj_key"], batch["__or"]),
-                "partial_weight": batch["partial_weight"],
-            })
-            agg = (t.group_by(["subj_id", "pred", "obj_id"])
-                   .aggregate([("partial_weight", "sum")]))
-            return agg.rename_columns(["subj_id", "pred", "obj_id",
-                                       "partial_weight"])
-
-        partials = j.map_batches(canon_joined, batch_format="pyarrow")
-    else:
-        partials = triples.map_batches(partial_edge_counts,
-                                       batch_format="pyarrow")
-    edges = (partials
-             .repartition(_compact_wide())  # compact partials → bounded sort-shuffle fan-out
-             .sort(["subj_id", "pred", "obj_id"])
-             .map_batches(_merge_edge_block, batch_format="pyarrow",
-                          batch_size=None))
-
-    return nodes, edges
-
-
-def _edge_key_partials(batch: pa.Table) -> pa.Table:
-    """Combiner over flat triples keyed by RAW entity keys — the canonical-root
-    mapping is applied after aggregation (on the tiny grouped table), so the big
-    shuffle needs no broadcast state at all."""
-    t = pa.table({"subj_key": batch["subj_key"], "pred": batch["pred"],
-                  "obj_key": batch["obj_key"]})
-    agg = t.group_by(["subj_key", "pred", "obj_key"]).aggregate([([], "count_all")])
-    return agg.rename_columns(["subj_key", "pred", "obj_key", "partial_weight"])
+    roots = resolve_roots_or_stars(pairs, "entity_key", "root", budget=_CC_BUDGET)
+    if isinstance(roots, ray.data.Dataset):
+        return roots.materialize()  # consumed by three joins
+    return ray.put(roots)
 
 
 _NODE_SCHEMA = pa.schema([("canonical_id", pa.string()),
@@ -409,333 +446,116 @@ def _merge_edge_block(block: pa.Table) -> pa.Table:
                                "weight"]).cast(_EDGE_SCHEMA)
 
 
+def _run_stages(stages: dict, want, lanes: dict[str, int],
+                timings: dict | None = None) -> dict:
+    """Run the ancestors of ``want`` in ``stages`` (name → (deps, lane, fn),
+    declared in dependency order): each stage runs on its lane's thread pool
+    once its deps are done, ``fn`` receiving their results in order. Records
+    every stage's completion offset in seconds from the start into
+    ``timings``. Submission in declared order keeps a one-thread lane FIFO in
+    dependency order, so a stage never waits on one queued behind it."""
+    need, todo = set(), list(want)
+    while todo:
+        name = todo.pop()
+        if name not in need:
+            need.add(name)
+            todo.extend(stages[name][0])
+    t0 = time.time()
+    futures = {}
+
+    def run(name, deps, fn):
+        out = fn(*[futures[d].result() for d in deps])
+        if timings is not None:
+            timings[name] = round(time.time() - t0, 2)
+        return out
+
+    pools = {lane: ThreadPoolExecutor(max_workers=n) for lane, n in lanes.items()}
+    try:
+        for name, (deps, lane, fn) in stages.items():
+            if name in need:
+                futures[name] = pools[lane].submit(run, name, deps, fn)
+        return {name: futures[name].result() for name in want}
+    finally:
+        for pool in pools.values():
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
-              timings: dict | None = None) -> dict[str, ray.data.Dataset]:
-    """Per-doc nested dataset → {mentions, groups, triples, nodes, edges} datasets.
-    ``docs`` should be materialized or parquet-backed (it is consumed 4×).
+              timings: dict | None = None,
+              tables=KG_TABLES) -> dict[str, ray.data.Dataset]:
+    """Per-doc nested dataset (linked, as ``TagDocs`` emits it) → the
+    requested ``tables`` of {mentions, groups, triples, nodes, edges,
+    key_map}, running only the stages they need. ``docs`` should be
+    materialized or Parquet-backed (up to three stages scan it). ``cfg`` and
+    ``fixture_dir`` name the run the docs came from; the graph needs neither,
+    because linking happened in the tag kernel.
 
-    Executions stay sequential — concurrent Dataset executions contend for the
-    cluster and lose (measured) — but every shuffle input is block-count-bounded
-    (see _target_blocks) and all combiner partials are vectorized Arrow kernels,
-    so per-stage overhead is a handful of seconds regardless of scale.
+    The tag stage itself is NOT overlapped with anything: it saturates the
+    CPUs and concurrent executions only contend (measured). Its consumers
+    run on two lanes: the docs scans, each materializing a multi-GB output on
+    a big corpus, on the "scan" lane (``parts`` first, since nodes and edges
+    wait on it), and the small chains over the compacted partials on the
+    "chain" lane, always overlapped. Every shuffle input is
+    block-count-bounded and all combiner partials are vectorized Arrow
+    kernels.
 
-    ``timings`` (optional): filled with each sub-chain's completion offset in
+    ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""
-    import time as _time
-
-    _t0 = _time.time()
-
-    def _timed(name, fn):
-        if timings is None:
-            return fn
-        def run():
-            out = fn()
-            timings[name] = round(_time.time() - _t0, 2)
-            return out
-        return run
-
-    from ..stages.canonicalize import canonical_id, finalize_node_group, partial_node_counts
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    alias_path = os.path.join(fixture_dir, "alias_dict.parquet")
-    # computed ONCE on the driver so every batch closure agrees on the width
+    # computed ONCE on the driver so every batch agrees on the width
     n_edge_buckets = _edge_buckets()
-
-    def band_rows_from_docs(batch: pa.Table) -> pa.Table:
-        """LSH band rows straight from the per-doc dataset: the distinct surf:
-        keys of each batch (cross-batch duplicates are deduped in bucket_pairs),
-        so the root map has no dependency on the mentions/nodes chain."""
-        keys_arr = pc.struct_field(
-            pc.list_flatten(batch["mentions"].combine_chunks()), "entity_key")
-        u = keys_arr.unique()
-        surf = u.filter(pc.starts_with(u, "surf:"))
-        bands, hashes = lsh_band_arrays(
-            pc.utf8_slice_codeunits(surf, 5).to_pylist())
-        from ..stages.canonicalize import LSH_BANDS
-        rep = pa.array(np.repeat(surf.to_numpy(zero_copy_only=False),
-                                 LSH_BANDS), pa.string())
-        return pa.table({"entity_key": rep,
-                         "band": pa.array(bands.ravel(), pa.int32()),
-                         "band_hash": pa.array(hashes.ravel(), pa.int64())})
-
-    def node_partials_from_docs(batch: pa.Table) -> pa.Table:
-        """Fused explode+combiner: docs batch → distinct (entity_key, label,
-        surface, partial_count) rows. Fusing removes nodes_pre's dependency on
-        the materialized mentions table, taking ~seconds off the critical path
-        (the explode is vectorized either way; doing it twice is cheaper than
-        serializing the two chains)."""
-        return partial_node_counts(explode_mentions(batch))
-
-    # The independent consumers of docs are overlapped via driver threads, in
-    # TWO lanes. The tag stage itself is NOT overlapped with anything: it
-    # saturates the CPUs and concurrent executions only contend (measured).
-    # Only THREE executions scan the materialized docs (mentions, triples, and
-    # the combined-partials union), and each materializes a multi-GB output;
-    # running those concurrently on a WIDE pool saturates memory bandwidth
-    # (measured at 32 CPUs sf0.8: mentions solo 2.4 s vs 7.7 s alongside
-    # triples; graph phase 13.6 s overlapped vs 10.9 s serialized), while on
-    # a narrow pool one scan can't fill the cluster and overlap wins
-    # (measured 6.0 s at 8 CPUs). So the big scans get a width-gated lane:
-    # serialized — parts FIRST, the root map and both graph artifacts depend
-    # on it — once a single scan can saturate the cluster; fully overlapped
-    # below that. Small chains (everything consuming the compacted partials)
-    # always overlap. GRAFT_GRAPH_BIG_LANE=serial|overlap overrides the gate.
-    # Dependency chains (mentions/triples serve only the returned tables and
-    # are OFF the nodes/edges critical path):
-    #   docs → {parts, mentions, triples}
-    #   parts → {groups, root_map, nodes_pre, edges_raw}
-    #   nodes_pre + root_map → nodes;   edges_raw + root_map → edges
-    serialize_big = _cluster_cpus() >= 16
-    env_lane = os.environ.get("GRAFT_GRAPH_BIG_LANE", "")
-    if env_lane in ("serial", "overlap"):
-        serialize_big = env_lane == "serial"
-    with ThreadPoolExecutor(max_workers=8) as ex, \
-         ThreadPoolExecutor(max_workers=1 if serialize_big else 8) as big:
-        def partial_edge_counts_raw(batch: pa.Table) -> pa.Table:
-            """Fused explode+combiner over RAW entity keys — needs no broadcast
-            state, so the big edge aggregation starts at phase start instead of
-            waiting on the root map (which was the graph-phase critical path:
-            measured 16.0 s edges completion vs 7.6 s root-map at sf0.4/32cpu).
-            The canonical-root mapping is applied AFTER aggregation, to the
-            small distinct-edge table. Bucketing: int64 hash of the raw key
-            triple — Ray's sort-based aggregate on multi-string keys is
-            ~10k rows/s/core (measured); sorting an int64 bucket and doing the
-            real aggregation with Arrow's C group_by inside each bucket is
-            ~100×. Only (bucket, keys, partial weight) rows shuffle. Bucket
-            count tracks cluster width (_edge_buckets); the hash is one
-            vectorized pass, no per-row Python."""
-            raw = _edge_key_partials(explode_triples(batch))
-            key = pc.binary_join_element_wise(
-                raw["subj_key"], raw["pred"], raw["obj_key"], "\x1f")
-            return raw.add_column(0, "bucket", _bucket_hash(key, n_edge_buckets))
-
-        def sum_bucket_raw(group: pa.Table) -> pa.Table:
-            agg = (group.group_by(["subj_key", "pred", "obj_key"])
-                   .aggregate([("partial_weight", "sum")]))
-            return agg.rename_columns(["subj_key", "pred", "obj_key",
-                                       "partial_weight"])
-
-        # The three combiner chains (LSH band rows, node partials, raw edge
-        # partials) used to be three separate full scans of docs — three
-        # streaming executors contending for the driver GIL and re-reading
-        # every block (round-3 verdict item 8). They are now ONE scan emitting
-        # a discriminated union (kind + null-padded columns); the per-kind
-        # groupbys run over the compacted, materialized partials (a handful
-        # of blocks), so their driver cost no longer tracks the docs block
-        # count. The sort-based groupby creates (input blocks)² shuffle
-        # partitions at ~20 ms each — hence the single repartition before
-        # materializing (partials are small: distinct keys, not mentions).
-        _UNION_FIELDS = [
-            ("kind", pa.int8()), ("entity_key", pa.string()),
-            ("band", pa.int32()), ("band_hash", pa.int64()),
-            ("label", pa.string()), ("surface", pa.string()),
-            ("partial_count", pa.int64()), ("bucket", pa.int64()),
-            ("subj_key", pa.string()), ("pred", pa.string()),
-            ("obj_key", pa.string()), ("partial_weight", pa.int64()),
-            ("url", pa.string()), ("group_name", pa.string()),
-        ]
-
-        def combined_partials(batch: pa.Table) -> pa.Table:
-            outs = []
-            for kind, t in ((0, band_rows_from_docs(batch)),
-                            (1, node_partials_from_docs(batch)),
-                            (2, partial_edge_counts_raw(batch)),
-                            (3, explode_groups(batch))):
-                n = t.num_rows
-                cols = {}
-                for name, typ in _UNION_FIELDS:
-                    if name == "kind":
-                        cols[name] = pa.array(np.full(n, kind, np.int8), typ)
-                    elif name in t.column_names:
-                        cols[name] = t[name].cast(typ)
-                    else:
-                        cols[name] = pa.nulls(n, typ)
-                outs.append(pa.table(cols))
-            return pa.concat_tables(outs)
-
-        f_parts = big.submit(
-            lambda: (docs
-                     .map_batches(combined_partials, batch_format="pyarrow")
-                     .repartition(_compact_small())
-                     .materialize()))
-        f_mentions = big.submit(_timed(
-            "mentions",
-            lambda: _linked_mentions(docs, cfg, alias_path).materialize()))
-        f_triples = big.submit(_timed(
-            "triples",
-            lambda: _linked_triples(docs, cfg, alias_path).materialize()))
-
-        def _of_kind(parts, kind: int, cols: list[str]):
-            return parts.map_batches(
-                lambda b: b.filter(pc.equal(b["kind"], kind)).select(cols),
-                batch_format="pyarrow")
-
-        def root_map_run() -> dict[str, str] | ray.data.Dataset:
-            """dict under the broadcast budget; above it a (node, root)
-            star-forest Dataset applied via bucket hash join."""
-            from ..ops.cc import resolve_roots_or_stars
-            pairs = (_of_kind(f_parts.result(), 0,
-                              ["entity_key", "band", "band_hash"])
-                     .groupby(["band", "band_hash"])
-                     .map_groups(bucket_pairs, batch_format="pyarrow"))
-            return resolve_roots_or_stars(pairs, "entity_key", "root",
-                                          budget=_CC_BUDGET)
-
-        f_root_map = ex.submit(_timed("root_map", root_map_run))
-        # groups ride the combined-partials union (kind 3): the table is tiny
-        # (url, group_name rows) and folding it removes one full docs scan
-        f_groups = ex.submit(_timed(
-            "groups",
-            lambda: _of_kind(f_parts.result(), 3,
-                             ["url", "group_name"]).materialize()))
-        f_nodes_pre = ex.submit(_timed(
-            "nodes_pre",
-            lambda: (_of_kind(f_parts.result(), 1,
-                              ["entity_key", "label", "surface",
-                               "partial_count"])
-                     .groupby("entity_key")
-                     .map_groups(finalize_node_group, batch_format="pyarrow")
-                     .materialize())))
-        f_edges_raw = ex.submit(
-            lambda: (_of_kind(f_parts.result(), 2,
-                              ["bucket", "subj_key", "pred", "obj_key",
-                               "partial_weight"])
-                     .groupby("bucket")
-                     .map_groups(sum_bucket_raw, batch_format="pyarrow")
-                     .materialize()))
-
-        root_map = f_root_map.result()
-        use_star_join = isinstance(root_map, ray.data.Dataset)
-        if use_star_join:
-            stars = root_map.materialize()  # consumed by 3 joins
-            root_map_ref = None
-        else:
-            root_map_ref = ray.put(root_map)
-        nodes_pre = f_nodes_pre.result()
-
-        def apply_roots_nodes(batch: pa.Table) -> pa.Table:
-            cid = _cid_from_cols(batch["entity_key"],
-                                 root_map=ray.get(root_map_ref))
-            return batch.append_column("canonical_id", cid)
-
-        def cid_from_join(batch: pa.Table) -> pa.Table:
-            cid = _cid_from_cols(batch["entity_key"], batch["__root"])
-            return (batch.drop_columns(["__root"])
-                    .append_column("canonical_id", cid))
-
-        # sort's range partitioner never splits equal keys, so each block holds
-        # complete canonical_id groups and the merge is one vectorized Arrow
-        # kernel per block — no per-group Python dispatch (which is O(distinct
-        # entities) interpreter work); output stays globally key-ordered
-        # (tests/test_pipeline_ray.py asserts this)
-        if use_star_join:
-            keyed = _join_star_roots(nodes_pre, "entity_key", stars,
-                                     "__root").map_batches(
-                cid_from_join, batch_format="pyarrow")
-        else:
-            keyed = nodes_pre.map_batches(apply_roots_nodes,
-                                          batch_format="pyarrow")
-        nodes_chain = (keyed
-                       .sort("canonical_id")
-                       .map_batches(_merge_node_block, batch_format="pyarrow",
-                                    batch_size=None))
-        # entity_key → canonical_id mapping (one row per distinct key; triples'
-        # subj/obj keys are always mention keys, so this covers every key) —
-        # the export the driver oracle uses to recompute nodes/edges in SQL
-        key_map = keyed.select_columns(["entity_key", "canonical_id"])
-
-        def canonicalize_edge_partials(batch: pa.Table) -> pa.Table:
-            """Apply the root map to the SMALL aggregated raw-edge table
-            (distinct raw key triples, not triples): canonical ids memoized
-            over the batch's distinct keys, local re-aggregation (raw keys
-            that merge under canonicalization collapse here); the final exact
-            merge happens per sort partition (_merge_edge_block)."""
-            rm = ray.get(root_map_ref)
-            t = pa.table({
-                "subj_id": _cid_from_cols(batch["subj_key"], root_map=rm),
-                "pred": batch["pred"],
-                "obj_id": _cid_from_cols(batch["obj_key"], root_map=rm),
-                "partial_weight": batch["partial_weight"],
-            })
-            agg = t.group_by(["subj_id", "pred", "obj_id"]).aggregate(
-                [("partial_weight", "sum")])
-            return agg.rename_columns(["subj_id", "pred", "obj_id",
-                                       "partial_weight"])
-
-        # nodes launch as soon as the root map is ready — overlapped with the
-        # (independent) mentions/triples/groups/raw-edge materializations
-        f_nodes = ex.submit(_timed("nodes", nodes_chain.materialize))
-
-        # edges: continuation over the already-aggregated raw edges (which
-        # have been materializing concurrently with the root map since phase
-        # start); only the small canonical re-aggregation + sort remain on the
-        # root-map-dependent tail
-        def canonicalize_edge_partials_joined(batch: pa.Table) -> pa.Table:
-            """Star-join twin of canonicalize_edge_partials: roots arrive as
-            join columns (__sr/__or, null = unclustered) instead of a
-            broadcast dict."""
-            subj = _cid_from_cols(batch["subj_key"], batch["__sr"])
-            obj = _cid_from_cols(batch["obj_key"], batch["__or"])
-            t = pa.table({
-                "subj_id": subj,
-                "pred": batch["pred"],
-                "obj_id": obj,
-                "partial_weight": batch["partial_weight"],
-            })
-            agg = t.group_by(["subj_id", "pred", "obj_id"]).aggregate(
-                [("partial_weight", "sum")])
-            return agg.rename_columns(["subj_id", "pred", "obj_id",
-                                       "partial_weight"])
-
-        def edges_run():
-            raw = f_edges_raw.result()
-            if use_star_join:
-                j = _join_star_roots(raw, "subj_key", stars, "__sr")
-                j = _join_star_roots(j, "obj_key", stars, "__or")
-                canon = j.map_batches(canonicalize_edge_partials_joined,
-                                      batch_format="pyarrow")
-            else:
-                canon = raw.map_batches(canonicalize_edge_partials,
-                                        batch_format="pyarrow")
-            # ONE AllToAll: the triple sort both groups (equal keys share a
-            # partition) and orders the artifact; the per-block merge is a
-            # vectorized Arrow kernel (was: bucket groupby + per-group Python
-            # + a second sort shuffle)
-            edges_chain = (canon
-                           .repartition(_compact_small())
-                           .sort(["subj_id", "pred", "obj_id"])
-                           .map_batches(_merge_edge_block,
-                                        batch_format="pyarrow",
-                                        batch_size=None))
-            return edges_chain.materialize()
-
-        f_edges = ex.submit(_timed("edges", edges_run))
-        nodes = f_nodes.result()
-        edges = f_edges.result()
-        mentions = f_mentions.result()
-        triples = f_triples.result()
-        groups = f_groups.result()
-
-    return {"mentions": mentions, "groups": groups, "triples": triples,
-            "nodes": nodes, "edges": edges, "key_map": key_map}
-
-
-def kg_tables_from_parquet(out_dir: str, cfg: KGConfig, fixture_dir: str,
-                           graph_dir: str) -> dict[str, int]:
-    """Phase-2 entry for the checkpointed runner: read phase-1 mentions/triples
-    Parquet (already linked), build + write nodes/edges."""
-    mentions = ray.data.read_parquet(os.path.join(out_dir, "mentions"),
-                                     columns=["entity_key", "label", "text"])
-    triples = ray.data.read_parquet(os.path.join(out_dir, "triples"),
-                                    columns=["subj_key", "pred", "obj_key"])
-    nodes, edges = build_graph(mentions, triples)
-    os.makedirs(graph_dir, exist_ok=True)
-    nodes = nodes.materialize()
-    edges = edges.materialize()
-    nodes.write_parquet(os.path.join(graph_dir, "nodes"))
-    edges.write_parquet(os.path.join(graph_dir, "edges"))
-    return {"nodes": nodes.count(), "edges": edges.count()}
+    # sort's range partitioner never splits equal keys, so each block holds
+    # complete canonical_id (triple-key) groups and the merge is one
+    # vectorized Arrow kernel per block — no per-group Python dispatch; the
+    # output stays globally key-ordered (tests/test_pipeline_ray.py asserts it)
+    stages = {
+        "parts": ((), "scan", lambda: (
+            docs.map_batches(combined_partials, batch_format="pyarrow",
+                             fn_kwargs={"n_edge_buckets": n_edge_buckets})
+            .repartition(_compact_small()).materialize())),
+        "mentions": ((), "scan", lambda: (
+            docs.map_batches(explode_mentions, batch_format="pyarrow")
+            .materialize())),
+        "triples": ((), "scan", lambda: (
+            docs.map_batches(explode_triples, batch_format="pyarrow")
+            .materialize())),
+        "groups": (("parts",), "chain", lambda parts: (
+            _of_kind(parts, 3, ["url", "group_name"]).materialize())),
+        "root_map": (("parts",), "chain", _root_map),
+        "nodes_pre": (("parts",), "chain", lambda parts: (
+            _of_kind(parts, 1, ["entity_key", "label", "surface", "partial_count"])
+            .groupby("entity_key")
+            .map_groups(finalize_node_group, batch_format="pyarrow")
+            .materialize())),
+        "edges_raw": (("parts",), "chain", lambda parts: (
+            _of_kind(parts, 2, ["bucket", "subj_key", "pred", "obj_key",
+                                "partial_weight"])
+            .groupby("bucket")
+            .map_groups(_sum_weights, batch_format="pyarrow",
+                        fn_kwargs={"by": ["subj_key", "pred", "obj_key"]})
+            .materialize())),
+        "keyed": (("nodes_pre", "root_map"), "chain", lambda nodes_pre, roots: (
+            _rooted(nodes_pre, canonicalize_nodes, roots, ["entity_key"]))),
+        "key_map": (("keyed",), "chain", lambda keyed: (
+            keyed.select_columns(["entity_key", "canonical_id"]))),
+        "nodes": (("keyed",), "chain", lambda keyed: (
+            keyed.sort("canonical_id")
+            .map_batches(_merge_node_block, batch_format="pyarrow",
+                         batch_size=None)
+            .materialize())),
+        # ONE AllToAll: the triple sort both groups (equal keys share a
+        # partition) and orders the artifact
+        "edges": (("edges_raw", "root_map"), "chain", lambda raw, roots: (
+            _rooted(raw, canonicalize_edge_partials, roots,
+                    ["subj_key", "obj_key"])
+            .repartition(_compact_small())
+            .sort(["subj_id", "pred", "obj_id"])
+            .map_batches(_merge_edge_block, batch_format="pyarrow",
+                         batch_size=None)
+            .materialize())),
+    }
+    lanes = {"scan": 1 if _cluster_cpus() >= _SERIAL_SCAN_CPUS else 3,
+             "chain": 8}
+    return _run_stages(stages, tables, lanes, timings)
 
 
 def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,

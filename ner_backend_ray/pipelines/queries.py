@@ -2887,11 +2887,14 @@ ORACLE_SQL = {
                         WHEN scheme = 'https' THEN
                             regexp_replace(h2, ':443$', '')
                         ELSE h2 END AS host,
-                   regexp_replace(regexp_replace(regexp_replace(
-                       regexp_replace(rest, '#.*$', ''),
-                       '(utm_[^&=#]*|gclid|fbclid)=[^&#]*&?', '', 'g'),
+                   regexp_replace(regexp_replace(
+                       regexp_extract(r, '^([^?]*)', 1)
+                       || regexp_replace(regexp_replace(
+                              regexp_extract(r, '^[^?]*(.*)$', 1),
+                              '[?&](utm_[^&=#]*|gclid|fbclid)=[^&#]*', '', 'g'),
+                              '^&', '?'),
                        '[?&]$', ''), '/$', '') AS rest
-            FROM (SELECT scheme, rest,
+            FROM (SELECT scheme, regexp_replace(rest, '#.*$', '') AS r,
                          CASE WHEN host LIKE 'www.%' THEN host[5:]
                               ELSE host END AS h2
                   FROM p))
@@ -2994,11 +2997,12 @@ ORACLE_SQL = {
                CAST(count(DISTINCT d.user_id) AS BIGINT) AS n_active
         FROM days JOIN d ON d.day BETWEEN days.day - 6 AND days.day
         GROUP BY days.day""",
-    # every length-20 gram via a lateral offset sweep; dup = in ≥2 docs;
-    # substr is 1-based and codepoint-indexed, matching the engine's
-    # utf8_slice_codeunits
+    # every length-20 gram via a lateral offset sweep over every start the
+    # longest text has; dup = in ≥2 docs; substr is 1-based and
+    # codepoint-indexed, matching the engine's utf8_slice_codeunits
     "dup_gram_docs": """
-        WITH pos AS (SELECT i FROM range(1, 4096) t(i)),
+        WITH pos AS (SELECT unnest(range(1, (SELECT max(length(text))
+                                             FROM documents) + 1)) AS i),
         g AS (
             SELECT DISTINCT doc_id AS doc, substr(text, i, 20) AS gram
             FROM documents CROSS JOIN pos
@@ -3247,7 +3251,7 @@ ORACLE_SQL = {
                        ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING),
                        0) AS prior
             FROM t)
-        SELECT prior // 2048 AS bin, count(*) AS n_docs,
+        SELECT CAST(prior // 2048 AS BIGINT) AS bin, count(*) AS n_docs,
                CAST(sum(n_tokens) AS BIGINT) AS tokens
         FROM s GROUP BY 1""",
     "price_ntile": """

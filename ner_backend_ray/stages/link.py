@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import unicodedata
 
-import pyarrow as pa
-
 _EDGE_PUNCT = ".,!?:;\"'`)]}([{-_"
 
 
@@ -75,42 +73,3 @@ class AliasDict:
 
         return link
 
-
-class LinkMentions:
-    """map_batches actor: adds entity_key / candidate_id / link_score columns to a
-    mentions table. ``entity_key`` = linked entity id when a dictionary candidate
-    scores >= min_score, else the normalized-surface key."""
-
-    def __init__(self, alias_path: str, min_score: float = 0.0):
-        self.aliases = AliasDict(alias_path, min_score)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        link = self.aliases.batch_linker()
-        keys, cand_ids, scores = [], [], []
-        for text, label in zip(batch["text"].to_pylist(), batch["label"].to_pylist()):
-            k, c, s = link(text, label)
-            keys.append(k); cand_ids.append(c); scores.append(s)
-        return (batch
-                .append_column("entity_key", pa.array(keys, pa.string()))
-                .append_column("candidate_id", pa.array(cand_ids, pa.string()))
-                .append_column("link_score", pa.array(scores, pa.float64())))
-
-
-class LinkTriples:
-    """map_batches actor: adds subj_key / obj_key columns to a triples table using
-    the same dictionary, so triple keys agree with mention keys by construction."""
-
-    def __init__(self, alias_path: str, min_score: float = 0.0):
-        self.aliases = AliasDict(alias_path, min_score)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        link = self.aliases.batch_linker()
-        subj_keys = [link(t, lb)[0]
-                     for t, lb in zip(batch["subj"].to_pylist(),
-                                      batch["subj_label"].to_pylist())]
-        obj_keys = [link(t, lb)[0]
-                    for t, lb in zip(batch["obj"].to_pylist(),
-                                     batch["obj_label"].to_pylist())]
-        return (batch
-                .append_column("subj_key", pa.array(subj_keys, pa.string()))
-                .append_column("obj_key", pa.array(obj_keys, pa.string())))

@@ -760,6 +760,11 @@ def test_canonicalize_url_column_vectors():
         ("http://ex.com/", "http://ex.com"),
         ("not a url", "not a url"),
         ("https://ex.com/p?page=2", "https://ex.com/p?page=2"),
+        # names that merely contain a tracking name, and a path segment
+        # spelled like one, are page identity: kept verbatim
+        ("http://ex.com/p?xgclid=5&b=1", "http://ex.com/p?xgclid=5&b=1"),
+        ("http://ex.com/gclid=path", "http://ex.com/gclid=path"),
+        ("http://ex.com/p?my_utm_source=x", "http://ex.com/p?my_utm_source=x"),
     ]
     got = canonicalize_url_column(
         pa.array([c[0] for c in cases])).to_pylist()

@@ -27,7 +27,7 @@ def test_streaming_pipeline_matches_oracle(ray_session, tiny_fixture, oracle_res
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
-    cfg = KGConfig(tag_concurrency=2, link_concurrency=2)
+    cfg = KGConfig(tag_concurrency=2)
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     tables = kg_tables(docs, cfg, tiny_fixture)
 
@@ -75,7 +75,7 @@ def test_star_join_root_map_matches_broadcast(ray_session, tiny_fixture,
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
     monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", "0")
-    cfg = KGConfig(tag_concurrency=2, link_concurrency=2)
+    cfg = KGConfig(tag_concurrency=2)
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     tables = kg_tables(docs, cfg, tiny_fixture)
 
@@ -90,15 +90,86 @@ def test_star_join_root_map_matches_broadcast(ray_session, tiny_fixture,
     assert _table_key_set(got_e, ecols) == _table_key_set(
         oracle_result["edges"], ecols)
 
-    # build_graph (the checkpointed phase-2 entry) takes the same branch
-    from ner_backend_ray.pipelines.kg import build_graph
-    nodes2, edges2 = build_graph(
-        tables["mentions"].select_columns(["entity_key", "label", "text"]),
-        tables["triples"].select_columns(["subj_key", "pred", "obj_key"]))
-    got_e2 = _collect(edges2)
-    assert _table_key_set(got_e2, ecols) == _table_key_set(
-        oracle_result["edges"], ecols)
 
+
+@pytest.mark.parametrize("rootmap_budget", [None, "0"],
+                         ids=["broadcast", "star_join"])
+def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path,
+                                             monkeypatch, rootmap_budget):
+    """Both runners go through one graph builder: the checkpointed phase-2
+    nodes/edges (built from the phase-1 docs Parquet) equal the streaming
+    kg_tables output, on the broadcast root-map branch and on the star-join
+    branch (broadcast budget forced to 0)."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+    from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+
+    if rootmap_budget is not None:
+        monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", rootmap_budget)
+    cfg = KGConfig(tag_concurrency=2)
+    docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
+    tables = kg_tables(docs, cfg, tiny_fixture)
+    out = str(tmp_path / "ckpt")
+    run_kg_checkpointed(tiny_fixture, out, cfg, concurrency=2)
+
+    for name, keys in (("nodes", ["canonical_id"]),
+                       ("edges", ["subj_id", "pred", "obj_id"])):
+        streamed = _collect(tables[name]).sort_by([(k, "ascending") for k in keys])
+        written = pq.read_table(os.path.join(out, "graph", name))
+        written = written.cast(streamed.schema).sort_by(
+            [(k, "ascending") for k in keys])
+        assert streamed.num_rows > 0
+        assert streamed.equals(written), name
+
+
+_ONE_CPU_RUN = """
+import json, os, sys, tempfile
+import pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
+ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ner_backend_ray.fixtures.pages import generate_pages
+from ner_backend_ray.oracle import KGConfig, run_oracle
+from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+
+fx = generate_pages(0.0002)
+want = run_oracle(fx)
+cols = {"nodes": ["canonical_id", "label", "mention_count"],
+        "edges": ["subj_id", "pred", "obj_id", "weight"]}
+
+def same(name, got):
+    got = got.select(cols[name]).sort_by([(c, "ascending") for c in cols[name]])
+    exp = want[name].select(cols[name]).sort_by([(c, "ascending") for c in cols[name]])
+    return got.num_rows > 0 and got.equals(exp)
+
+docs = tag_pages(read_pages(fx), KGConfig(), fx).materialize()
+tables = kg_tables(docs, KGConfig(), fx, tables=("nodes", "edges"))
+ok = {f"stream_{n}": same(n, pa.concat_tables(list(ds.iter_batches(
+          batch_size=None, batch_format="pyarrow")))) for n, ds in tables.items()}
+out = tempfile.mkdtemp()
+run_kg_checkpointed(fx, out, KGConfig())
+ok.update({f"ckpt_{n}": same(n, pq.read_table(os.path.join(out, "graph", n)))
+           for n in cols})
+print(json.dumps(ok))
+ray.shutdown()
+"""
+
+
+def test_both_runners_finish_on_one_cpu(tiny_fixture):
+    """A 1-CPU session must not starve the read tasks upstream of the tag
+    pool: both runners finish, and their nodes/edges equal the oracle."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=root,
+                          env={**os.environ, "PYTHONPATH": root},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    ok = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert ok == {k: True for k in ("stream_nodes", "stream_edges",
+                                    "ckpt_nodes", "ckpt_edges")}, ok
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
     from ner_backend_ray.stages.extract import extract_text_batch
@@ -118,7 +189,7 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
     from ner_backend_ray.pipelines.checkpointed import (completed_partitions,
                                                         run_kg_checkpointed,
                                                         run_phase1)
-    cfg = KGConfig(tag_concurrency=2, link_concurrency=2)
+    cfg = KGConfig(tag_concurrency=2)
 
     full_dir = str(tmp_path / "full")
     s = run_kg_checkpointed(tiny_fixture, full_dir, cfg, concurrency=2)
@@ -149,7 +220,7 @@ def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
     out = str(tmp_path / "ckpt")
-    run_kg_checkpointed(tiny_fixture, out, KGConfig(tag_concurrency=2, link_concurrency=2),
+    run_kg_checkpointed(tiny_fixture, out, KGConfig(tag_concurrency=2),
                         concurrency=2)
     got_t = pq.read_table(os.path.join(out, "triples"))
     want_t = oracle_result["triples"]
