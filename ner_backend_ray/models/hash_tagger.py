@@ -71,10 +71,6 @@ def _collapse_shape(token: bytes) -> bytes:
     return bytes(out)
 
 
-def _is_alpha(token: bytes) -> bool:
-    return token.isalpha() or not token.isascii() and token.replace(b" ", b"").isalpha()
-
-
 def _subtokens(token: bytes, start: int) -> list[tuple[int, int]]:
     """Split a cleaned token into subword pieces (digit / alpha / other runs),
     exercising the reference's subword→word alignment path. Offsets are into the

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
+
+from .combine import segment_rank
 
 _TOPK_SCHEMA = pa.schema([("query_id", pa.int64()),
                           ("neighbor_id", pa.int64()),
@@ -31,8 +34,6 @@ def merge_topk(partials: ray.data.Dataset, k: int,
     per-query Python call, no driver-side partial collection. At 10^6 blocks
     the partials stay in the cluster; only k·|queries| result rows are
     collected. Returns (query_id, neighbor_id, rank) sorted by (query, rank)."""
-    import pyarrow.compute as pc
-
     from .joins import _bucket_of, buckets_for
     n_buckets = n_buckets or buckets_for(0)
 
@@ -48,11 +49,7 @@ def merge_topk(partials: ray.data.Dataset, k: int,
         n = g["neighbor_id"].to_numpy(zero_copy_only=False)
         order = np.lexsort((n, -s, q))  # query asc, sim desc, id asc
         qs, ns = q[order], n[order]
-        newq = np.empty(len(qs), dtype=bool)
-        newq[0] = True
-        newq[1:] = qs[1:] != qs[:-1]
-        starts = np.flatnonzero(newq)
-        pos = np.arange(len(qs)) - starts[np.cumsum(newq) - 1]
+        pos = segment_rank(qs)
         keep = pos < k
         return pa.table({"query_id": pa.array(qs[keep], pa.int64()),
                          "neighbor_id": pa.array(ns[keep], pa.int64()),
@@ -67,8 +64,12 @@ def merge_topk(partials: ray.data.Dataset, k: int,
         out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
 
 
-def _as_matrix(col) -> np.ndarray:
-    return np.array(col.to_pylist(), dtype=np.float64)
+def _as_matrix(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """list<float> column → (rows × dim) float64 matrix from the flattened
+    values buffer, with no per-row Python objects."""
+    flat = np.asarray(pc.list_flatten(col), dtype=np.float64)
+    n = len(col)
+    return flat.reshape(n, flat.size // n if n else 0)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:

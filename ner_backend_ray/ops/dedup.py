@@ -29,6 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..state.metrics import incr_metric
+from .ann import _as_matrix
 from .cc import resolve_roots_budgeted
 
 # Above this many *distinct* signatures in one LSH bucket, pairwise
@@ -66,23 +67,10 @@ def dedup_exact(docs: ray.data.Dataset, id_col: str = "doc_id",
 
 # ----------------------------- shingles / jaccard -----------------------------
 
-def ngram_set(text: str, n: int = 3) -> set[bytes]:
-    b = text.lower().encode("utf-8")
-    if len(b) <= n:
-        return {b}
-    return {b[i:i + n] for i in range(len(b) - n + 1)}
-
-
-def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
-    sa, sb = ngram_set(a, n), ngram_set(b, n)
-    inter = len(sa & sb)
-    return inter / (len(sa) + len(sb) - inter) if inter else 0.0
-
-
 def char_ngram_set(text: str, n: int = 3) -> set[str]:
     """CHARACTER n-grams of lower(text) — the exact twin of DuckDB's
     ``substr(lower(text), i, n)`` over ``generate_series``, so a SQL oracle can
-    recompute it verbatim (identical to :func:`ngram_set` on ASCII text)."""
+    recompute it verbatim."""
     s = text.lower()
     return {s[i:i + n] for i in range(max(len(s) - n + 1, 1))}
 
@@ -441,11 +429,6 @@ def simhash64(text: str) -> int:
     return int(out)
 
 
-def add_simhash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    vals = [simhash64(t) for t in batch[text_col].to_pylist()]
-    return batch.append_column("simhash", pa.array(np.array(vals, dtype=np.uint64)))
-
-
 def simhash_pairs(docs: ray.data.Dataset, id_col: str = "doc_id",
                   text_col: str = "text",
                   max_hamming: int = 3) -> ray.data.Dataset:
@@ -651,7 +634,7 @@ def _embedding_bucket_rows(id_col: str, vec_col: str, n_planes: int, seed: int,
     per-table key list (so downstream stages can recompute earlier-table
     collisions without a shuffle)."""
     def bucket(batch: pa.Table) -> pa.Table:
-        vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+        vecs = _as_matrix(batch[vec_col])
         n = len(vecs)
         if n == 0:
             return pa.table({id_col: pa.array([], pa.int64()),
@@ -695,7 +678,7 @@ def embedding_pairs(embs: ray.data.Dataset, id_col: str = "vec_id",
     def verify(group: pa.Table) -> pa.Table:
         t = int(group["table"][0].as_py())
         ids = np.array(group[id_col].to_pylist(), dtype=np.int64)
-        vecs = np.array(group[vec_col].to_pylist(), dtype=np.float64)
+        vecs = _as_matrix(group[vec_col])
         keys = np.array(group["keys"].to_pylist(), dtype=np.int64)
         a_out, b_out = [], []
         if len(ids) > 1:
@@ -751,7 +734,7 @@ def embedding_clusters(embs: ray.data.Dataset, id_col: str = "vec_id",
     :func:`..ops.cc.resolve_roots_budgeted`."""
     def star_edges(group: pa.Table) -> pa.Table:
         ids = np.array(group[id_col].to_pylist(), dtype=np.int64)
-        vecs = np.array(group[vec_col].to_pylist(), dtype=np.float64)
+        vecs = _as_matrix(group[vec_col])
         if len(ids) < 2:
             return pa.table({"a": pa.array([], pa.int64()),
                              "b": pa.array([], pa.int64())})

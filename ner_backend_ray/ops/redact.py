@@ -68,18 +68,3 @@ class RedactDocs:
         return pa.table({self.id_column: batch[self.id_column],
                          "redacted": pa.array(out, pa.string())})
 
-
-def redact_docs_batch(batch: pa.Table, text_col: str = "html") -> pa.Table:
-    """Stateless map_batches over the tagged per-doc table (url, html/text,
-    mentions list<struct>) → (url, redacted)."""
-    col = batch[text_col]
-    if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-        texts = col.to_pylist()
-    else:
-        texts = [t.encode("utf-8") for t in col.to_pylist()]
-    redacted = []
-    for text, mentions in zip(texts, batch["mentions"].to_pylist()):
-        red, _ = redact_text(text, mentions)
-        redacted.append(red)
-    return pa.table({"url": batch["url"],
-                     "redacted": pa.array(redacted, pa.string())})

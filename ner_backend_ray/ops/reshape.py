@@ -3,11 +3,10 @@
 Both are thin compositions over the engine's combiner-partial pattern — the
 point of putting them in the op library is the PLAN SHAPE, not the kernel:
 
-* ``pivot_counts`` — the SQL ``SUM(CASE WHEN col=c THEN 1 END)`` pivot. Each
-  block pre-counts its (row_key, col_key) pairs, so at most
-  ``rows × categories`` tiny integer rows per block enter the shuffle
-  however wide the fact table is; the per-row-key group then lays the counts
-  out as fixed columns.
+* ``pivot_counts`` — the SQL ``SUM(CASE WHEN col=c THEN 1 END)`` pivot,
+  written the same way: one 0/1 column per category summed by the grouped
+  combiner, so each block sends at most one wide row per row key to the
+  shuffle however long the fact table is.
 * ``rollup_expand`` — hierarchical grouping sets. The ONLY distributed work
   a rollup needs is the finest-level aggregate (every coarser level is a
   re-aggregation of it), so callers run their normal combiner groupby and
@@ -23,6 +22,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .combine import combine_by
+
 
 def pivot_counts(ds: ray.data.Dataset, row_key: str, col_key: str,
                  categories: list[str]) -> ray.data.Dataset:
@@ -31,26 +32,16 @@ def pivot_counts(ds: ray.data.Dataset, row_key: str, col_key: str,
     ``count(*)`` alongside the CASE pivots)."""
     cats = list(categories)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = (batch.select([row_key, col_key])
-               .group_by([row_key, col_key])
-               .aggregate([([], "count_all")]))
-        return agg.rename_columns([row_key, col_key, "pn"])
+    def one_hot(batch: pa.Table) -> pa.Table:
+        col = batch[col_key]
+        cols = {row_key: batch[row_key]}
+        cols.update({c: pc.equal(col, c).fill_null(False).cast(pa.int64())
+                     for c in cats})
+        return pa.table(cols)
 
-    def pivot(group: pa.Table) -> pa.Table:
-        ns = group["pn"].to_pylist()
-        counts = dict.fromkeys(cats, 0)
-        for c, n in zip(group[col_key].to_pylist(), ns):
-            if c in counts:
-                counts[c] += n
-        out = {row_key: [group[row_key][0].as_py()]}
-        out.update({c: pa.array([counts[c]], pa.int64()) for c in cats})
-        out["total"] = pa.array([sum(ns)], pa.int64())
-        return pa.table(out)
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(row_key)
-            .map_groups(pivot, batch_format="pyarrow"))
+    return combine_by(ds, row_key, one_hot,
+                      {**{c: (c, "sum") for c in cats},
+                       "total": (None, "count")})
 
 
 def rollup_expand(finest: pa.Table, levels: list[str],

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
+from .combine import topk_by
 from .sketch import splitmix64
 
 KNUTH32 = np.uint64(2654435761)
@@ -101,26 +101,5 @@ def stratified_sample(ds: ray.data.Dataset, group_col: str, key_col: str,
         h = _HASHES[hash_fn](batch[key_col].to_numpy(zero_copy_only=False))
         return batch.append_column("h", pa.array(h, pa.uint64()))
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        idx = pc.sort_indices(batch, sort_keys=[(group_col, "ascending"),
-                                                ("h", "ascending"),
-                                                (key_col, "ascending")])
-        t = batch.take(idx)
-        g = t[group_col].to_numpy(zero_copy_only=False)
-        new = np.ones(len(g), bool)
-        new[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(new).astype(np.int64)
-        rank = np.arange(len(g), dtype=np.int64) - starts[np.cumsum(new) - 1]
-        return t.filter(pa.array(rank < k))
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[("h", "ascending"),
-                                                (key_col, "ascending")])
-        return group.take(idx[:k])
-
-    return (ds.map_batches(with_hash, batch_format="pyarrow")
-            .map_batches(local_topk, batch_format="pyarrow")
-            .groupby(group_col)
-            .map_groups(final_topk, batch_format="pyarrow"))
+    return topk_by(ds.map_batches(with_hash, batch_format="pyarrow"),
+                   group_col, [("h", "ascending"), (key_col, "ascending")], k)

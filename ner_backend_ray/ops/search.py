@@ -24,18 +24,6 @@ from ..core.dsl import Filter, parse_query
 from ..core.entity import Entity
 
 
-def _label_map(group: pa.Table) -> dict[str, list[Entity]]:
-    out: dict[str, list[Entity]] = {}
-    for label, text, start, end in zip(group["label"].to_pylist(),
-                                       group["text"].to_pylist(),
-                                       group["start"].to_pylist(),
-                                       group["end"].to_pylist()):
-        out.setdefault(label, []).append(Entity(
-            label=label, text=text.encode("utf-8"), start=start, end=end,
-            lcontext=b"", rcontext=b""))
-    return out
-
-
 def search_mentions(mentions: ray.data.Dataset, query: str | Filter,
                     doc_col: str = "url",
                     n_buckets: int | None = None) -> ray.data.Dataset:

@@ -1,11 +1,11 @@
 """Distinct set operations over datasets: INTERSECT / EXCEPT.
 
-Both reduce to one combiner-then-groupby pass over presence bits: each block
-emits its DISTINCT rows tagged with a side flag, the groupby keeps one row
-per distinct key with the OR (via max) of each side's flag, and a final
-filter applies the set predicate. Only distinct (row, flag) pairs shuffle —
-the dedup happens inside the block before anything moves, so a 100-TB side
-with a small value domain ships its domain, not its rows.
+Both reduce to one grouped-combiner pass (ops/combine.py) over presence
+bits: rows are tagged with a side flag, each block keeps one row per
+distinct key with the OR (via max) of each side's flag, the groupby merges
+those, and a final filter applies the set predicate. Only distinct rows per
+block shuffle — the dedup happens inside the block before anything moves,
+so a 100-TB side with a small value domain ships its domain, not its rows.
 """
 
 from __future__ import annotations
@@ -14,31 +14,24 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Max
 
-
-def _flagged_distinct(ds: ray.data.Dataset, cols: list[str],
-                      flag: str) -> ray.data.Dataset:
-    other = "in_b" if flag == "in_a" else "in_a"
-
-    def partial(batch: pa.Table) -> pa.Table:
-        d = batch.select(cols).group_by(cols).aggregate([])
-        n = d.num_rows
-        ones = pa.array([1] * n, pa.int8())
-        zeros = pa.array([0] * n, pa.int8())
-        return (d.append_column("in_a", ones if flag == "in_a" else zeros)
-                 .append_column("in_b", ones if flag == "in_b" else zeros))
-
-    return ds.map_batches(partial, batch_format="pyarrow")
+from .combine import combine_by
 
 
 def _presence(a: ray.data.Dataset, b: ray.data.Dataset,
               cols: list[str]) -> ray.data.Dataset:
-    both = _flagged_distinct(a, cols, "in_a").union(
-        _flagged_distinct(b, cols, "in_b"))
-    return (both.groupby(cols)
-            .aggregate(Max("in_a", alias_name="in_a"),
-                       Max("in_b", alias_name="in_b")))
+    def flag(in_a: int):
+        def f(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            return (batch.select(cols)
+                    .append_column("in_a", pa.array([in_a] * n, pa.int8()))
+                    .append_column("in_b", pa.array([1 - in_a] * n, pa.int8())))
+        return f
+
+    both = (a.map_batches(flag(1), batch_format="pyarrow")
+            .union(b.map_batches(flag(0), batch_format="pyarrow")))
+    return combine_by(both, cols, lambda t: t,
+                      {"in_a": ("in_a", "max"), "in_b": ("in_b", "max")})
 
 
 def distinct_intersect(a: ray.data.Dataset, b: ray.data.Dataset,

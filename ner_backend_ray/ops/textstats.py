@@ -9,16 +9,12 @@ Token counting mirrors the reference's whitespace semantics
 from __future__ import annotations
 
 import hashlib
-import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-
-# BPE-ish word/number/punct splitter (public GPT-2-style pattern, simplified)
-_BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]+")
 
 _STOPWORDS = {
     "en": {"the", "and", "of", "a", "to", "in", "is", "it", "that", "was", "for",
@@ -120,16 +116,6 @@ def lang_id(text: str) -> str:
         if score > best:
             best_lang, best = lang, score
     return best_lang
-
-
-def lang_id_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    return batch.append_column(
-        "lang_pred", pa.array([lang_id(t) for t in batch[text_col].to_pylist()],
-                              pa.string()))
-
-
-def bpe_token_count(text: str) -> int:
-    return len(_BPE_RE.findall(text))
 
 
 # ---------------------- char-n-gram language profiles ----------------------

@@ -32,6 +32,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .combine import combine_by
+
 # a tracking parameter of the query, with the separator before it: a
 # parameter whose name merely ends in one (``?xgclid=``, ``?my_utm_x=``) does
 # not match. Applied to the query part only; a query left starting with '&'
@@ -81,13 +83,7 @@ def canonical_url_counts(ds: ray.data.Dataset,
     """(canonical_url, n) — page-identity dedup counts after normalization.
     Per-batch combiner partials (one row per distinct canonical per batch)
     feed a single string-keyed groupby; only distinct keys shuffle."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c = canonicalize_url_column(batch[col])
-        vc = pa.table({"canonical_url": c}).group_by(
-            "canonical_url").aggregate([([], "count_all")])
-        return vc.rename_columns(["canonical_url", "pn"])
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("canonical_url").aggregate(Sum("pn", alias_name="n")))
+    return combine_by(
+        ds, "canonical_url",
+        lambda b: pa.table({"canonical_url": canonicalize_url_column(b[col])}),
+        {"n": (None, "count")})

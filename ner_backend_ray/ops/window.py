@@ -8,11 +8,13 @@ partial aggregate per (key, window) → small groupby. Sliding/session windows u
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from .combine import combine_by
 
 
 def tumbling_window(events: ray.data.Dataset, ts_col: str = "ts",
@@ -21,21 +23,15 @@ def tumbling_window(events: ray.data.Dataset, ts_col: str = "ts",
     """count + sum(value) per (key, tumbling window). Returns columns
     (key, window_start, n_events, sum_value); window_start is epoch micros."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # Arrow-native combiner (pa.Table.group_by) — no pandas round-trip
+    def assign(batch: pa.Table) -> pa.Table:
         ts = batch[ts_col].cast(pa.int64())
         win = pc.multiply(pc.divide(ts, window_us), window_us)  # floor to window
-        t = pa.table({key_col: batch[key_col], "window_start": win,
-                      value_col: batch[value_col]})
-        agg = (t.group_by([key_col, "window_start"])
-               .aggregate([(value_col, "sum"), ([], "count_all")]))
-        return agg.rename_columns([key_col, "window_start", "psum", "pn"])
+        return pa.table({key_col: batch[key_col], "window_start": win,
+                         value_col: batch[value_col]})
 
-    from ray.data.aggregate import Sum
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby([key_col, "window_start"])
-            .aggregate(Sum("pn", alias_name="n_events"),
-                       Sum("psum", alias_name="sum_value")))
+    return combine_by(events, [key_col, "window_start"], assign,
+                      {"n_events": (None, "count"),
+                       "sum_value": (value_col, "sum")})
 
 
 def sliding_window(events: ray.data.Dataset, ts_col: str = "ts",
@@ -51,8 +47,7 @@ def sliding_window(events: ray.data.Dataset, ts_col: str = "ts",
         raise ValueError("window_us must be a multiple of slide_us")
     per_event = window_us // slide_us
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
+    def assign(batch: pa.Table) -> pa.Table:
         ts = batch[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
         base = (ts // slide_us) * slide_us
         # windows containing ts: starts base, base - slide, ..., base - (k-1)*slide
@@ -60,18 +55,13 @@ def sliding_window(events: ray.data.Dataset, ts_col: str = "ts",
                   - np.tile(np.arange(per_event, dtype=np.int64) * slide_us,
                             len(base)))
         idx = pa.array(np.repeat(np.arange(len(base), dtype=np.int64), per_event))
-        t = pa.table({key_col: pc.take(batch[key_col], idx),
-                      "window_start": pa.array(starts),
-                      value_col: pc.take(batch[value_col], idx)})
-        agg = (t.group_by([key_col, "window_start"])
-               .aggregate([(value_col, "sum"), ([], "count_all")]))
-        return agg.rename_columns([key_col, "window_start", "psum", "pn"])
+        return pa.table({key_col: pc.take(batch[key_col], idx),
+                         "window_start": pa.array(starts),
+                         value_col: pc.take(batch[value_col], idx)})
 
-    from ray.data.aggregate import Sum
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby([key_col, "window_start"])
-            .aggregate(Sum("pn", alias_name="n_events"),
-                       Sum("psum", alias_name="sum_value")))
+    return combine_by(events, [key_col, "window_start"], assign,
+                      {"n_events": (None, "count"),
+                       "sum_value": (value_col, "sum")})
 
 
 def session_windows(events: ray.data.Dataset, ts_col: str = "ts",
@@ -87,8 +77,6 @@ def session_windows(events: ray.data.Dataset, ts_col: str = "ts",
     group holds every row of its keys, so one vectorized sort by
     (key, ts) + a boundary mask (key change OR gap) computes every
     session in the bucket with zero per-key Python."""
-    import numpy as np
-
     from .joins import _bucket_of, buckets_for
     n_buckets = n_buckets or buckets_for(0)
 
@@ -147,8 +135,6 @@ def partitioned_range_sum(events: ray.data.Dataset, key_col: str,
     maximum occupied slot, so searchsorted can never cross segments.
 
     Returns (key, ts, value, range_sum) rows."""
-    import numpy as np
-
     from .joins import _bucket_of, buckets_for
     n_buckets = n_buckets or buckets_for(0)
 
@@ -217,8 +203,6 @@ def partitioned_running(events: ray.data.Dataset, key_col: str,
     Returns all input columns plus ``running`` (cumulative sum inclusive),
     ``prev`` (lagged value, ``lag_fill`` for the partition head) and ``rn``
     (1-based dense position)."""
-    import numpy as np
-
     from .joins import _bucket_of, buckets_for
     n_buckets = n_buckets or buckets_for(0)
 
@@ -277,8 +261,6 @@ def trailing_active_counts(events: ray.data.Dataset,
     present-days filter is a driver broadcast bounded by the calendar
     (≤ a few thousand rows at any horizon), not by the data.
     """
-    import numpy as np
-
     from ray.data.aggregate import Sum
     from .joins import _bucket_of, buckets_for
     n_buckets = n_buckets or buckets_for(0)

@@ -2,11 +2,14 @@
 
 Each query is a callable ``fn(sf_dir) -> Dataset | pyarrow.Table`` over the driver
 testdata tables (region nation customer supplier part orders lineitem events
-documents embeddings) or the deterministic pages fixture (KG pipeline). Where the
-semantics are ANSI-SQL-expressible an oracle string lives in ``ORACLE_SQL`` under
-the same key with matching column names; numeric aggregates use the fixed-point
-trick (``floor(x*100 + 0.5)`` int64 cents) on BOTH sides so float summation order
-can never flip a value hash.
+documents embeddings) or the deterministic pages fixture (KG pipeline). Every
+query has a DuckDB oracle in ``ORACLE_SQL`` under the same key, with the same
+column names and Arrow types (tests/test_entry.py checks values, names and
+types); numeric aggregates use the fixed-point trick (``floor(x*100 + 0.5)``
+int64 cents) on BOTH sides so float summation order can never flip a value
+hash. Grouped aggregates go through the one grouped combiner
+(ops/combine.py::combine_by), and ``_from_cents`` turns summed cents back into
+the float the SQL side divides out.
 
 Approximate operators are driver-checkable too: near-dup queries verify against
 brute-force SQL recomputation (list_intersect Jaccard, bit_count Hamming,
@@ -33,16 +36,16 @@ import ray.data
 from ray.data.aggregate import Max, Sum
 
 from ..oracle import KGConfig
-from ..ops.ann import brute_force_topk, lsh_topk
-from ..ops.dedup import (dedup_exact, dedup_minhash_lsh, embedding_near_dups,
-                         simhash_near_dups)
-from ..ops.joins import (_bucket_of, asof_join, broadcast_join,
-                         bucket_hash_join, buckets_for, gated_dim_join,
-                         parquet_bytes, range_join)
+from ..ops.ann import _as_matrix, brute_force_topk, lsh_topk
+from ..ops.combine import combine_by, segment_rank, topk_by
+from ..ops.dedup import dedup_exact, embedding_near_dups, simhash_near_dups
+from ..ops.joins import (_bucket_of, asof_join, bucket_hash_join,
+                         buckets_for, gated_dim_join, parquet_bytes,
+                         range_join)
 from ..ops.textstats import fingerprint_batch, quality_features
-from ..ops.window import session_windows, tumbling_window
+from ..ops.window import session_windows, sliding_window, tumbling_window
 from ..stages.tag import TagDocs, explode_groups, explode_mentions
-from .kg import kg_tables, read_pages, tag_pages
+from .kg import _edge_buckets, actor_pool, kg_tables, read_pages, tag_pages
 
 HOUR_US = 3_600_000_000
 GAP_US = 1_800_000_000
@@ -59,25 +62,82 @@ def _tbl(sf_dir: str, name: str, columns: list[str] | None = None,
                                  override_num_blocks=num_blocks)
 
 
-def _doc_pool(sf_dir: str, name: str, batch_size: int = 256,
-              min_batches_per_actor: int = 4) -> int:
-    """Actor-pool size matched to the table's volume: ``cpus − 2`` (the
-    dominant stage owns the cluster, minus headroom for read tasks + driver)
-    but never more actors than ``rows / (min_batches_per_actor × batch_size)``
-    can keep busy — pool startup is the entire cost on small inputs (measured
-    at sf0.1/5k docs: 30 actors = 3.8-8.5 s, 5 actors = 1.0-1.6 s, identical
-    output). Row count comes from the parquet footer (no data read). The cap
-    grows linearly with rows, so any real corpus (≥ ~30k rows at 32 CPUs)
-    gets the full-width pool — scale behavior is unchanged."""
-    n_cpus = int(ray.cluster_resources().get("CPU", 4))
-    rows = pq.read_metadata(os.path.join(sf_dir, f"{name}.parquet")).num_rows
-    by_data = -(-rows // (min_batches_per_actor * batch_size))  # ceil div
-    return max(1, min(n_cpus - 2, by_data))
-
-
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """floor(x*100 + 0.5) as int64 — deterministic fixed-point, mirrored in SQL."""
     return pc.floor(pc.add(pc.multiply(col, pa.scalar(100.0)), pa.scalar(0.5))).cast(pa.int64())
+
+
+def _from_cents(ds: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
+    """Summed int64 cent columns ``cols`` → float64 units, in place: the
+    ``sum(cents) / 100.0`` the oracle SQL computes."""
+    def f(batch: pa.Table) -> pa.Table:
+        for c in cols:
+            batch = batch.set_column(
+                batch.schema.get_field_index(c), c,
+                pc.divide(batch[c].cast(pa.float64()), pa.scalar(100.0)))
+        return batch
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _event_cents(batch: pa.Table) -> pa.Table:
+    """events → (ts, event_type, value_i = value cents): the window input."""
+    return pa.table({"ts": batch["ts"], "event_type": batch["event_type"],
+                     "value_i": _cents(batch["value"])})
+
+
+def _user_event_cents(batch: pa.Table) -> pa.Table:
+    """events → (user_id, event_id, ts_i = epoch micros, vc = value cents):
+    the per-user window functions' input."""
+    return pa.table({"user_id": batch["user_id"],
+                     "event_id": batch["event_id"],
+                     "ts_i": batch["ts"].cast(pa.int64()),
+                     "vc": _cents(batch["value"])})
+
+
+def _nation_names(sf_dir: str):
+    """c_nationkey column → (region name, nation name) string arrays, from
+    the nation/region tables (25 and 5 rows by TPC-H spec, so the lookup
+    travels inside the returned function)."""
+    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
+    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
+    region_name = dict(zip(reg["r_regionkey"].to_pylist(),
+                           reg["r_name"].to_pylist()))
+    keys = nat["n_nationkey"].combine_chunks()
+    regions = pa.array([region_name[r] for r in nat["n_regionkey"].to_pylist()],
+                       pa.string())
+    nations = nat["n_name"].combine_chunks().cast(pa.string())
+
+    def names(nationkeys) -> tuple[pa.Array, pa.Array]:
+        idx = pc.index_in(nationkeys, value_set=keys)
+        return regions.take(idx), nations.take(idx)
+
+    return names
+
+
+def _query_vectors(sf_dir: str) -> tuple[np.ndarray, list[int]]:
+    """The ANN queries' probe set: the first 3 embeddings (vec_id < 3) as a
+    float64 matrix, and their ids."""
+    qt = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
+                       columns=["vec_id", "embedding"])
+    qt = qt.filter(pc.less(qt["vec_id"], 3))
+    return _as_matrix(qt["embedding"]), qt["vec_id"].to_pylist()
+
+
+def _tokens(batch: pa.Table) -> pa.Array:
+    """The batch's whitespace tokens, empty strings dropped."""
+    toks = pc.list_flatten(
+        pc.split_pattern_regex(batch["text"], pattern=r"\s+"))
+    return toks.filter(pc.not_equal(toks, ""))
+
+
+def _purchase_edges(batch: pa.Table) -> pa.Table:
+    """Undirected order↔part purchase graph, one edge per lineitem row in
+    both directions: order nodes 2k, part nodes 2k+1."""
+    o = batch["l_orderkey"].to_numpy(zero_copy_only=False) * 2
+    p = batch["l_partkey"].to_numpy(zero_copy_only=False) * 2 + 1
+    return pa.table({"src": np.concatenate([o, p]),
+                     "dst": np.concatenate([p, o])})
 
 
 # --------------------------------------------------------------------------
@@ -137,50 +197,20 @@ def q_token_totals(sf_dir: str):
 def q_tumbling_window(sf_dir: str):
     """Hourly tumbling (event_type) window counts + fixed-point value sums."""
     ds = _tbl(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def to_fixed(batch: pa.Table) -> pa.Table:
-        return pa.table({"ts": batch["ts"], "event_type": batch["event_type"],
-                         "value_i": _cents(batch["value"])})
-
-    win = tumbling_window(ds.map_batches(to_fixed, batch_format="pyarrow"),
-                          value_col="value_i", window_us=HOUR_US)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "window_start": batch["window_start"],
-            "n_events": batch["n_events"],
-            "sum_value": pc.divide(batch["sum_value"].cast(pa.float64()),
-                                   pa.scalar(100.0)),
-        })
-
-    return win.map_batches(finish, batch_format="pyarrow")
+    return _from_cents(
+        tumbling_window(ds.map_batches(_event_cents, batch_format="pyarrow"),
+                        value_col="value_i", window_us=HOUR_US),
+        ["sum_value"])
 
 
 def q_sliding_window(sf_dir: str):
     """2h windows sliding by 1h (each event in 2 windows), fixed-point sums."""
-    from ..ops.window import sliding_window
-
     ds = _tbl(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def to_fixed(batch: pa.Table) -> pa.Table:
-        return pa.table({"ts": batch["ts"], "event_type": batch["event_type"],
-                         "value_i": _cents(batch["value"])})
-
-    win = sliding_window(ds.map_batches(to_fixed, batch_format="pyarrow"),
-                         value_col="value_i", window_us=2 * HOUR_US,
-                         slide_us=HOUR_US)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "window_start": batch["window_start"],
-            "n_events": batch["n_events"],
-            "sum_value": pc.divide(batch["sum_value"].cast(pa.float64()),
-                                   pa.scalar(100.0)),
-        })
-
-    return win.map_batches(finish, batch_format="pyarrow")
+    return _from_cents(
+        sliding_window(ds.map_batches(_event_cents, batch_format="pyarrow"),
+                       value_col="value_i", window_us=2 * HOUR_US,
+                       slide_us=HOUR_US),
+        ["sum_value"])
 
 
 def q_topk_per_group(sf_dir: str):
@@ -195,32 +225,10 @@ def q_topk_per_group(sf_dir: str):
         columns=["c_custkey", "c_mktsegment"],
         rename=["o_custkey", "c_mktsegment"],
         left_bytes=parquet_bytes(os.path.join(sf_dir, "orders.parquet")))
-    K = 3
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        t = batch.select(["c_mktsegment", "o_orderkey", "o_totalprice"])
-        if t.num_rows == 0:
-            return t
-        idx = pc.sort_indices(t, sort_keys=[("c_mktsegment", "ascending"),
-                                            ("o_totalprice", "descending"),
-                                            ("o_orderkey", "ascending")])
-        t = t.take(idx)
-        # vectorized rank-within-segment over the sorted rows (no row loop)
-        segs = t["c_mktsegment"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(segs), dtype=bool)
-        new[1:] = segs[1:] != segs[:-1]
-        starts = np.flatnonzero(new).astype(np.int32)
-        rank = np.arange(len(segs), dtype=np.int32) - starts[np.cumsum(new) - 1]
-        return t.filter(pa.array(rank < K))
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[("o_totalprice", "descending"),
-                                                ("o_orderkey", "ascending")])
-        return group.take(idx[:K])
-
-    return (joined.map_batches(local_topk, batch_format="pyarrow")
-            .groupby("c_mktsegment")
-            .map_groups(final_topk, batch_format="pyarrow"))
+    return topk_by(
+        joined.select_columns(["c_mktsegment", "o_orderkey", "o_totalprice"]),
+        "c_mktsegment", [("o_totalprice", "descending"),
+                         ("o_orderkey", "ascending")], k=3)
 
 
 def q_sessions(sf_dir: str):
@@ -240,16 +248,13 @@ def q_events_json(sf_dir: str):
     JSON-in-a-string params pattern (internal/database/schema.go:60) as a dataflow op."""
     ds = _tbl(sf_dir, "events", ["event_type", "props"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         ks = pc.extract_regex(batch["props"], r'"k":\s*(?P<k>-?\d+)')
-        k = pc.struct_field(ks, "k").cast(pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "k": k})
-        agg = t.group_by(["event_type"]).aggregate([("k", "sum"), ([], "count_all")])
-        return agg.rename_columns(["event_type", "pk", "pn"])
+        return pa.table({"event_type": batch["event_type"],
+                         "k": pc.struct_field(ks, "k").cast(pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("pk", alias_name="sum_k"), Sum("pn", alias_name="n_events")))
+    return combine_by(ds, "event_type", project,
+                      {"sum_k": ("k", "sum"), "n_events": (None, "count")})
 
 
 def q_join_orders_customer(sf_dir: str):
@@ -281,16 +286,11 @@ def q_regional_revenue(sf_dir: str):
     partitioned bucket hash join sized to the data), customer/supplier through
     the SIZE-GATED planner rule (broadcast under the byte budget, bucket hash
     join above — they grow with sf, so an unconditional broadcast is a
-    driver-memory wall at 100×), nation/region as broadcast dicts (constant
-    25/5 rows by TPC-H spec), local-supplier predicate (c_nationkey =
-    s_nationkey), combiner partials before the final groupby."""
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    nation_name = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    region_of = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_regionkey"].to_pylist()))
-    region_name = dict(zip(reg["r_regionkey"].to_pylist(), reg["r_name"].to_pylist()))
-    small_ref = ray.put((nation_name, region_of, region_name))
-
+    memory wall at 100×), nation/region names from a lookup shipped with
+    the map function (constant 25/5 rows by TPC-H spec), local-supplier
+    predicate (c_nationkey = s_nationkey), grouped combiner before the final
+    groupby."""
+    names = _nation_names(sf_dir)
     line_bytes = parquet_bytes(os.path.join(sf_dir, "lineitem.parquet"))
     orders = _tbl(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
         lambda b: b.rename_columns(["l_orderkey", "o_custkey"]),
@@ -308,41 +308,19 @@ def q_regional_revenue(sf_dir: str):
         columns=["s_suppkey", "s_nationkey"], rename=["l_suppkey", "s_nationkey"],
         left_bytes=line_bytes)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nat_name, reg_of, reg_name = ray.get(small_ref)
-        keep = pc.equal(batch["c_nationkey"], batch["s_nationkey"])
-        sub = batch.filter(keep)  # Q5 local-supplier predicate
-        if sub.num_rows == 0:
-            return pa.table({"r_name": pa.array([], pa.string()),
-                             "n_name": pa.array([], pa.string()),
-                             "prev": pa.array([], pa.int64()),
-                             "pn": pa.array([], pa.int64())})
-        nk = sub["c_nationkey"].to_pylist()
+    def project(batch: pa.Table) -> pa.Table:
+        # Q5 local-supplier predicate
+        sub = batch.filter(pc.equal(batch["c_nationkey"], batch["s_nationkey"]))
+        region, nation = names(sub["c_nationkey"])
         rev = _cents(pc.multiply(sub["l_extendedprice"],
                                  pc.subtract(pa.scalar(1.0), sub["l_discount"])))
-        t = pa.table({
-            "r_name": pa.array([reg_name[reg_of[k]] for k in nk], pa.string()),
-            "n_name": pa.array([nat_name[k] for k in nk], pa.string()),
-            "rev_i": rev,
-        })
-        agg = t.group_by(["r_name", "n_name"]).aggregate(
-            [("rev_i", "sum"), ([], "count_all")])
-        return agg.rename_columns(["r_name", "n_name", "prev", "pn"])
+        return pa.table({"r_name": region, "n_name": nation, "rev_i": rev})
 
-    agg = (joined.map_batches(partial, batch_format="pyarrow")
-           .groupby(["r_name", "n_name"])
-           .aggregate(Sum("prev", alias_name="rev_i"),
-                      Sum("pn", alias_name="n_lineitems")))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "r_name": batch["r_name"], "n_name": batch["n_name"],
-            "revenue": pc.divide(batch["rev_i"].cast(pa.float64()),
-                                 pa.scalar(100.0)),
-            "n_lineitems": batch["n_lineitems"],
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _from_cents(
+        combine_by(joined, ["r_name", "n_name"], project,
+                   {"revenue": ("rev_i", "sum"),
+                    "n_lineitems": (None, "count")}),
+        ["revenue"])
 
 
 def q_pricing_summary(sf_dir: str):
@@ -352,39 +330,24 @@ def q_pricing_summary(sf_dir: str):
               ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         disc = pc.multiply(batch["l_extendedprice"],
                            pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        t = pa.table({
+        return pa.table({
             "l_returnflag": batch["l_returnflag"],
             "l_linestatus": batch["l_linestatus"],
             "qty_i": _cents(batch["l_quantity"]),
             "base_i": _cents(batch["l_extendedprice"]),
             "disc_i": _cents(disc),
         })
-        agg = (t.group_by(["l_returnflag", "l_linestatus"])
-               .aggregate([("qty_i", "sum"), ("base_i", "sum"),
-                           ("disc_i", "sum"), ([], "count_all")]))
-        return agg.rename_columns(["l_returnflag", "l_linestatus",
-                                   "pq", "pb", "pdp", "pn"])
 
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("pq", alias_name="q_i"), Sum("pb", alias_name="b_i"),
-                      Sum("pdp", alias_name="d_i"), Sum("pn", alias_name="count_order")))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        hundred = pa.scalar(100.0)
-        return pa.table({
-            "l_returnflag": batch["l_returnflag"],
-            "l_linestatus": batch["l_linestatus"],
-            "sum_qty": pc.divide(batch["q_i"].cast(pa.float64()), hundred),
-            "sum_base_price": pc.divide(batch["b_i"].cast(pa.float64()), hundred),
-            "sum_disc_price": pc.divide(batch["d_i"].cast(pa.float64()), hundred),
-            "count_order": batch["count_order"],
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _from_cents(
+        combine_by(ds, ["l_returnflag", "l_linestatus"], project,
+                   {"sum_qty": ("qty_i", "sum"),
+                    "sum_base_price": ("base_i", "sum"),
+                    "sum_disc_price": ("disc_i", "sum"),
+                    "count_order": (None, "count")}),
+        ["sum_qty", "sum_base_price", "sum_disc_price"])
 
 
 def q_topk_orders(sf_dir: str):
@@ -400,13 +363,9 @@ def q_distinct_segments(sf_dir: str):
 def q_ann_topk(sf_dir: str):
     """Exact cosine top-5 for the first 3 vectors as queries (broadcast query
     matrix, per-batch matmul combiner — SURVEY.md training-data ops)."""
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    qt = pq.read_table(path, columns=["vec_id", "embedding"])
-    mask = pc.less(qt["vec_id"], 3)
-    qt = qt.filter(mask)
-    queries = np.array(qt["embedding"].to_pylist(), dtype=np.float64)
+    queries, qids = _query_vectors(sf_dir)
     embs = _tbl(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return brute_force_topk(embs, queries, qt["vec_id"].to_pylist(), k=5)
+    return brute_force_topk(embs, queries, qids, k=5)
 
 
 # --------------------------------------------------------------------------
@@ -418,44 +377,52 @@ _GROUP_QUERIES = {"sparky": "COUNT(SPARKW) > 2",
                   "mixed": "COUNT(SPARKW) > 0 AND COUNT(JOINW) > 1"}
 
 
+def _regex_docs(sf_dir: str, stage, as_pages: bool = True,
+                **kwargs) -> ray.data.Dataset:
+    """documents → one actor-pool ``stage`` built on the injectable regex
+    tagger, which compiles once per actor. With ``as_pages`` the stage sees
+    (url = doc_id as a string, text) pages. The pool is sized to the table's
+    volume: no more actors than ``rows / (4 × 256)`` batches keep busy, since
+    pool startup is the whole cost on small inputs (sf0.1, 5k docs: 30
+    actors 3.8-8.5 s, 5 actors 1.0-1.6 s, same output), and never the whole
+    cluster (pipelines/kg.py::actor_pool). The read is cut into 4 waves of
+    the pool, because block count bounds map_batches parallelism."""
+    rows = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    actors, cpus = actor_pool(max_actors=max(1, -(-rows // (4 * 256))))
+    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=4 * actors)
+    if as_pages:
+        ds = ds.map_batches(
+            lambda b: pa.table({"url": pc.cast(b["doc_id"], pa.string()),
+                                "text": b["text"]}),
+            batch_format="pyarrow")
+    return ds.map_batches(
+        stage,
+        fn_constructor_kwargs=dict(model_type="regex",
+                                   model_kwargs={"patterns": _WORD_PATTERNS},
+                                   text_column="text", **kwargs),
+        batch_size=256, batch_format="pyarrow", concurrency=actors,
+        num_cpus=cpus)
+
+
 def _tag_documents(sf_dir: str) -> ray.data.Dataset:
     """Full inference chain (predict → validators → coalesce → DSL groups) with the
     injectable regex tagger, over the documents table (the processor_test.go:18-114
     dataflow pattern, distributed)."""
-    # pool sized to the data (see _doc_pool); the read is cut to 4 waves of
-    # the pool so block count, which bounds map_batches parallelism, never
-    # idles the pool
-    conc = _doc_pool(sf_dir, "documents")
-    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=4 * conc)
-
-    def to_pages(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": pc.cast(batch["doc_id"], pa.string()),
-                         "text": batch["text"]})
-
-    return ds.map_batches(to_pages, batch_format="pyarrow").map_batches(
-        TagDocs,
-        fn_constructor_kwargs=dict(model_type="regex",
-                                   model_kwargs={"patterns": _WORD_PATTERNS},
-                                   group_queries=_GROUP_QUERIES,
-                                   text_column="text", emit_triples=False),
-        batch_size=256, batch_format="pyarrow", concurrency=conc, num_cpus=1)
+    return _regex_docs(sf_dir, TagDocs, group_queries=_GROUP_QUERIES,
+                       emit_triples=False)
 
 
 def q_regex_mention_runs(sf_dir: str):
     """Coalesced mention count per (doc, label) — adjacent same-label matches with
     byte gap <=1 merge (processor.go:519-554), which SQL mirrors as runs of
     space-separated tokens."""
-    tagged = _tag_documents(sf_dir)
-    flat = tagged.map_batches(explode_mentions, batch_format="pyarrow")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"doc_id": batch["url"].cast(pa.int64()), "label": batch["label"]})
-        agg = t.group_by(["doc_id", "label"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["doc_id", "label", "pn"])
-
-    return (flat.map_batches(partial, batch_format="pyarrow")
-            .groupby(["doc_id", "label"])
-            .aggregate(Sum("pn", alias_name="n_runs")))
+    flat = _tag_documents(sf_dir).map_batches(explode_mentions,
+                                              batch_format="pyarrow")
+    return combine_by(
+        flat, ["doc_id", "label"],
+        lambda b: pa.table({"doc_id": b["url"].cast(pa.int64()),
+                            "label": b["label"]}),
+        {"n_runs": (None, "count")})
 
 
 def q_dsl_groups(sf_dir: str):
@@ -480,15 +447,15 @@ def q_embedding_pairs_exact(sf_dir: str):
     accumulation order cannot flip membership."""
     path = os.path.join(sf_dir, "embeddings.parquet")
     full = pq.read_table(path, columns=["vec_id", "embedding"])
-    mat = np.array(full["embedding"].to_pylist(), dtype=np.float64)
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+    mat = _as_matrix(full["embedding"])
+    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     all_ids = np.asarray(full["vec_id"].to_pylist(), dtype=np.int64)
     ref = ray.put((all_ids, mat))
 
     def f(batch: pa.Table) -> pa.Table:
         ids_all, nm = ray.get(ref)
-        vecs = np.array(batch["embedding"].to_pylist(), dtype=np.float64)
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = _as_matrix(batch["embedding"])
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         ids = np.asarray(batch["vec_id"].to_pylist(), dtype=np.int64)
         sims = vecs @ nm.T
         ii, jj = np.where(sims >= 0.4)
@@ -505,20 +472,7 @@ def q_preview(sf_dir: str):
     tokens re-tagged; emits per-doc preview-token and tagged-token counts."""
     from ..ops.preview import PreviewDocs
 
-    pool = _doc_pool(sf_dir, "documents")
-    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=4 * pool)
-
-    def to_pages(batch: pa.Table) -> pa.Table:
-        return pa.table({"url": pc.cast(batch["doc_id"], pa.string()),
-                         "text": batch["text"]})
-
-    prev = ds.map_batches(to_pages, batch_format="pyarrow").map_batches(
-        PreviewDocs,
-        fn_constructor_kwargs=dict(model_type="regex",
-                                   model_kwargs={"patterns": _WORD_PATTERNS},
-                                   text_column="text"),
-        batch_size=256, batch_format="pyarrow",
-        concurrency=pool, num_cpus=1)
+    prev = _regex_docs(sf_dir, PreviewDocs)
 
     def summarize(batch: pa.Table) -> pa.Table:
         n_tokens = pc.list_value_length(batch["tokens"]).cast(pa.int64())
@@ -539,19 +493,12 @@ def q_redacted_docs(sf_dir: str):
     Actor-pool stage — the tagger compiles once per actor, not once per batch."""
     from ..ops.redact import RedactDocs
 
-    pool = _doc_pool(sf_dir, "documents")
-    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=4 * pool)
-    return ds.map_batches(
-        RedactDocs,
-        fn_constructor_kwargs=dict(model_type="regex",
-                                   model_kwargs={"patterns": _WORD_PATTERNS},
-                                   text_column="text", id_column="doc_id"),
-        batch_size=256, batch_format="pyarrow",
-        concurrency=pool, num_cpus=1)
+    return _regex_docs(sf_dir, RedactDocs, as_pages=False, id_column="doc_id")
 
 
 # --------------------------------------------------------------------------
-# rows-only queries (non-SQL-expressible; semantics pinned by tests/)
+# near-dup, ANN and fingerprint queries (SQL-checked by brute-force
+# recomputation or through exported inputs)
 # --------------------------------------------------------------------------
 
 # Oracle-export seam: a few queries hand DuckDB a deterministic intermediate
@@ -692,17 +639,11 @@ def q_lang_pred_confusion(sf_dir: str):
 
     p = ds.map_batches(pred, batch_format="pyarrow").materialize()
     _export_for_oracle("lang_pred", _collect_table(
-        p.map_batches(lambda b: b.select(["doc_id", "pred_lang"]),
-                      batch_format="pyarrow")))
+        p.select_columns(["doc_id", "pred_lang"])))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = (pa.table({"lang": batch["lang"], "pred_lang": batch["pred_lang"]})
-               .group_by(["lang", "pred_lang"]).aggregate([([], "count_all")]))
-        return agg.rename_columns(["lang", "pred_lang", "pn"])
-
-    return (p.map_batches(partial, batch_format="pyarrow")
-            .groupby(["lang", "pred_lang"])
-            .aggregate(Sum("pn", alias_name="n_docs")))
+    return combine_by(p, ["lang", "pred_lang"],
+                      lambda b: b.select(["lang", "pred_lang"]),
+                      {"n_docs": (None, "count")})
 
 
 def q_lsh_topk(sf_dir: str):
@@ -714,11 +655,7 @@ def q_lsh_topk(sf_dir: str):
     reported top-k must be exactly right."""
     from ..ops.ann import lsh_candidates
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    qt = pq.read_table(path, columns=["vec_id", "embedding"])
-    qt = qt.filter(pc.less(qt["vec_id"], 3))
-    queries = np.array(qt["embedding"].to_pylist(), dtype=np.float64)
-    qids = qt["vec_id"].to_pylist()
+    queries, qids = _query_vectors(sf_dir)
     embs = _tbl(sf_dir, "embeddings", ["vec_id", "embedding"])
     _export_for_oracle("lsh_candidates", _collect_table(
         lsh_candidates(embs, queries, qids, n_planes=8, probe_bits=2)))
@@ -733,13 +670,9 @@ def q_ivf_topk(sf_dir: str):
     (that recall/latency trade-off is pinned by tests instead)."""
     from ..ops.ann import ivf_topk
 
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    qt = pq.read_table(path, columns=["vec_id", "embedding"])
-    qt = qt.filter(pc.less(qt["vec_id"], 3))
-    queries = np.array(qt["embedding"].to_pylist(), dtype=np.float64)
+    queries, qids = _query_vectors(sf_dir)
     embs = _tbl(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return ivf_topk(embs, queries, qt["vec_id"].to_pylist(), k=5,
-                    n_centroids=8, nprobe=8)
+    return ivf_topk(embs, queries, qids, k=5, n_centroids=8, nprobe=8)
 
 
 def q_fingerprints(sf_dir: str):
@@ -774,7 +707,8 @@ def q_fingerprints(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# KG flagship pipeline over the pages fixture (rows-only)
+# KG flagship pipeline over the pages fixture (SQL-checked through exported
+# flat tables)
 # --------------------------------------------------------------------------
 
 # Materialized KG tables per fixture dir, held for the PROCESS lifetime: the
@@ -801,27 +735,13 @@ def kg_results(sf_dir_or_sf) -> dict[str, ray.data.Dataset]:
 def _per_key_doc_rollup(ds: ray.data.Dataset, key: str,
                         n_rows_name: str) -> ray.data.Dataset:
     """Distributed (key → row count + distinct-url count) over a flat KG
-    table: Arrow combiner partials → groupby(key, url) exact-distinct shuffle
-    → combiner → groupby(key). This is the Ray machinery the export-seam
-    oracle re-derives brute-force in SQL."""
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({key: batch[key], "url": batch["url"]})
-        agg = t.group_by([key, "url"]).aggregate([([], "count_all")])
-        return agg.rename_columns([key, "url", "pn"])
-
-    per_doc = (ds.map_batches(partial, batch_format="pyarrow")
-               .groupby([key, "url"])
-               .aggregate(Sum("pn", alias_name="n")))
-
-    def partial2(batch: pa.Table) -> pa.Table:
-        t = pa.table({key: batch[key], "n": batch["n"]})
-        agg = t.group_by([key]).aggregate([("n", "sum"), ([], "count_all")])
-        return agg.rename_columns([key, "pm", "pd"])
-
-    return (per_doc.map_batches(partial2, batch_format="pyarrow")
-            .groupby(key)
-            .aggregate(Sum("pm", alias_name=n_rows_name),
-                       Sum("pd", alias_name="n_docs")))
+    table: grouped combiner on (key, url), an exact-distinct shuffle, then a
+    second grouped combiner on key. This is the Ray machinery the
+    export-seam oracle re-derives brute-force in SQL."""
+    per_doc = combine_by(ds, [key, "url"], lambda b: b.select([key, "url"]),
+                         {"n": (None, "count")})
+    return combine_by(per_doc, key, lambda b: b.select([key, "n"]),
+                      {n_rows_name: ("n", "sum"), "n_docs": (None, "count")})
 
 
 def q_kg_mentions(sf_dir: str):
@@ -833,8 +753,7 @@ def q_kg_mentions(sf_dir: str):
     mirroring /root/reference/internal/integration_tests/inference_test.go:83-226."""
     m = kg_results(sf_dir)["mentions"]
     _export_for_oracle("kg_mention_labels", _collect_table(
-        m.map_batches(lambda b: b.select(["url", "label"]),
-                      batch_format="pyarrow")))
+        m.select_columns(["url", "label"])))
     return _per_key_doc_rollup(m, "label", "n_mentions")
 
 
@@ -843,8 +762,7 @@ def q_kg_triples(sf_dir: str):
     q_kg_mentions)."""
     t = kg_results(sf_dir)["triples"]
     _export_for_oracle("kg_triple_preds", _collect_table(
-        t.map_batches(lambda b: b.select(["url", "pred"]),
-                      batch_format="pyarrow")))
+        t.select_columns(["url", "pred"])))
     return _per_key_doc_rollup(t, "pred", "n_triples")
 
 
@@ -863,9 +781,7 @@ def q_kg_nodes(sf_dir: str):
     combiner+groupby machinery."""
     tabs = kg_results(sf_dir)
     _export_for_oracle("kg_mentions_flat", _collect_table(
-        tabs["mentions"].map_batches(
-            lambda b: b.select(["entity_key", "label", "text"]),
-            batch_format="pyarrow")))
+        tabs["mentions"].select_columns(["entity_key", "label", "text"])))
     _export_for_oracle("kg_key_map", _collect_table(tabs["key_map"]))
     ds = tabs["nodes"]
 
@@ -886,9 +802,7 @@ def q_kg_edges(sf_dir: str):
     against Ray's bucketed combiner aggregation (pipelines/kg.py)."""
     tabs = kg_results(sf_dir)
     _export_for_oracle("kg_triples_flat", _collect_table(
-        tabs["triples"].map_batches(
-            lambda b: b.select(["subj_key", "pred", "obj_key"]),
-            batch_format="pyarrow")))
+        tabs["triples"].select_columns(["subj_key", "pred", "obj_key"])))
     _export_for_oracle("kg_key_map", _collect_table(tabs["key_map"]))
     return kg_results(sf_dir)["edges"]
 
@@ -903,8 +817,7 @@ def q_kg_search(sf_dir: str):
     from ..ops.search import search_mentions
     mentions = kg_results(sf_dir)["mentions"]
     _export_for_oracle("kg_search_mentions", _collect_table(
-        mentions.map_batches(lambda b: b.select(["url", "label"]),
-                             batch_format="pyarrow")))
+        mentions.select_columns(["url", "label"])))
     return search_mentions(mentions, "COUNT(NAME) > 2 AND COUNT(EMAIL) > 0")
 
 
@@ -1001,6 +914,16 @@ def q_weekly_active_users(sf_dir: str):
                                   period=86_400_000_000, window=7)
 
 
+def _cents_counts(ds: ray.data.Dataset, group_col: str,
+                  price_col: str) -> ray.data.Dataset:
+    """Distinct (g = group, v = price cents) → n rows: the one shuffle the
+    exact grouped median and MAD picks read."""
+    return combine_by(ds, ["g", "v"],
+                      lambda b: pa.table({"g": b[group_col],
+                                          "v": _cents(b[price_col])}),
+                      {"n": (None, "count")})
+
+
 def q_group_mad(sf_dir: str):
     """Exact per-group median absolute deviation — the robust-statistics
     twin of group_median, and a demonstration that MULTI-PASS robust stats
@@ -1010,16 +933,9 @@ def q_group_mad(sf_dir: str):
     group call — no second scan, no broadcast join. Oracle: nested
     quantile_disc via a median join (DuckDB's mad() interpolates on even
     counts; the discrete form is engine-neutral)."""
-    ds = _tbl(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-
-    def part(batch: pa.Table) -> pa.Table:
-        t = pa.table({"g": batch["l_returnflag"],
-                      "v": _cents(batch["l_extendedprice"])})
-        agg = t.group_by(["g", "v"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["g", "v", "pn"])
-
-    counts = (ds.map_batches(part, batch_format="pyarrow")
-              .groupby(["g", "v"]).aggregate(Sum("pn", alias_name="n")))
+    counts = _cents_counts(
+        _tbl(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"]),
+        "l_returnflag", "l_extendedprice")
 
     def pick(gr: pa.Table) -> pa.Table:
         idx = pc.sort_indices(gr, sort_keys=[("v", "ascending")])
@@ -1152,10 +1068,7 @@ def q_price_quantiles(sf_dir: str) -> pa.Table:
     final rank pick reads it on the driver — a bounded small result, not a
     dataset materialization."""
     ds = _tbl(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    try:
-        n_buckets = max(64, 2 * int(ray.cluster_resources().get("CPU", 16)))
-    except Exception:
-        n_buckets = 64
+    n_buckets = _edge_buckets()
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
@@ -1209,17 +1122,8 @@ def q_top_tokens(sf_dir: str):
     occurrence) → groupby sum over the distinct vocabulary → deterministic
     (count DESC, token ASC) top-k."""
     ds = _tbl(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(batch["text"], pattern=r"\s+"))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
-        return pa.table({"token": vc.field("values"),
-                         "pn": vc.field("counts").cast(pa.int64())})
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("token").aggregate(Sum("pn", alias_name="n"))
+    return (combine_by(ds, "token", lambda b: pa.table({"token": _tokens(b)}),
+                       {"n": (None, "count")})
             .sort(["n", "token"], descending=[True, False])
             .limit(20))
 
@@ -1251,20 +1155,10 @@ def q_bloom_semi_urgent(sf_dir: str):
                            n_buckets=buckets_for(parquet_bytes(
                                os.path.join(sf_dir, "lineitem.parquet"))))
 
-    def agg_part(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.add(
-            pc.multiply(batch["l_extendedprice"], 100.0), 0.5)), pa.int64())
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "c": cents,
-                      "pn": pa.array(np.ones(batch.num_rows, np.int64))})
-        return (t.group_by("l_returnflag")
-                .aggregate([("c", "sum"), ("pn", "sum")])
-                .rename_columns(["l_returnflag", "c", "pn"]))
-
-    return (semi.map_batches(agg_part, batch_format="pyarrow")
-            .groupby("l_returnflag")
-            .aggregate(Sum("c", alias_name="revenue_cents"),
-                       Sum("pn", alias_name="n")))
+    return combine_by(semi, "l_returnflag",
+                      lambda b: pa.table({"l_returnflag": b["l_returnflag"],
+                                          "c": _cents(b["l_extendedprice"])}),
+                      {"revenue_cents": ("c", "sum"), "n": (None, "count")})
 
 
 def q_value_quantile_sketch(sf_dir: str) -> pa.Table:
@@ -1317,7 +1211,7 @@ def q_hll_distinct(sf_dir: str):
         reg, rho = hll_partial(
             batch["l_orderkey"].to_numpy(zero_copy_only=False), p=10)
         t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "register": pa.array(reg, pa.int32()),
+                      "register": pa.array(reg, pa.int64()),
                       "rho": pa.array(rho, pa.int64())})
         return (t.group_by(["l_returnflag", "register"])
                 .aggregate([("rho", "max")])
@@ -1343,15 +1237,12 @@ def q_cms_token_counts(sf_dir: str):
     ds = _tbl(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(batch["text"], pattern=r"\s+"))
-        toks = toks.filter(pc.not_equal(toks, ""))
-        vc = toks.value_counts()
+        vc = _tokens(batch).value_counts()
         r, c, n = cms_partial(
             vc.field("values").to_numpy(zero_copy_only=False),
             vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table({"row": pa.array(r, pa.int32()),
-                         "col": pa.array(c, pa.int32()),
+        return pa.table({"row": pa.array(r, pa.int64()),
+                         "col": pa.array(c, pa.int64()),
                          "pn": pa.array(n, pa.int64())})
 
     parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
@@ -1398,17 +1289,8 @@ def q_hash_split_counts(sf_dir: str):
 
     ds = _tbl(sf_dir, "documents", ["doc_id", "n_chars"])
     split = hash_split(ds, "doc_id", hash_fn="knuth32")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["split", "n_chars"])
-        agg = t.group_by("split").aggregate(
-            [("n_chars", "sum"), ([], "count_all")])
-        return agg.rename_columns(["split", "pchars", "pn"])
-
-    return (split.map_batches(partial, batch_format="pyarrow")
-            .groupby("split")
-            .aggregate(Sum("pchars", alias_name="chars"),
-                       Sum("pn", alias_name="n")))
+    return combine_by(split, "split", lambda b: b.select(["split", "n_chars"]),
+                      {"chars": ("n_chars", "sum"), "n": (None, "count")})
 
 
 def q_stratified_sample(sf_dir: str):
@@ -1429,23 +1311,24 @@ def q_stratified_sample(sf_dir: str):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
+_EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
+
+
 def q_events_pivot(sf_dir: str):
     """Crosstab / pivot (ops/reshape.py::pivot_counts): events per day ×
-    event-type, one wide row per day. Per-batch (day, type) count partials
-    shuffle at most days × types rows per block; the per-day group pivots to
-    fixed columns. The SQL SUM(CASE WHEN ...) pivot as a dataflow op."""
+    event-type, one wide row per day. One 0/1 column per type is summed by
+    the grouped combiner, so at most one wide row per day per block
+    shuffles. The SQL SUM(CASE WHEN ...) pivot as a dataflow op."""
     from ..ops.reshape import pivot_counts
-
-    ds = _tbl(sf_dir, "events", ["ts", "event_type"])
 
     def with_day(batch: pa.Table) -> pa.Table:
         return pa.table({"day": pc.strftime(batch["ts"], format="%Y-%m-%d"),
                          "event_type": batch["event_type"]})
 
+    ds = _tbl(sf_dir, "events", ["ts", "event_type"])
     return pivot_counts(ds.map_batches(with_day, batch_format="pyarrow"),
                         row_key="day", col_key="event_type",
-                        categories=["click", "error", "purchase",
-                                    "signup", "view"])
+                        categories=_EVENT_TYPES)
 
 
 def q_rollup_revenue(sf_dir: str):
@@ -1456,16 +1339,7 @@ def q_rollup_revenue(sf_dir: str):
     hierarchy never re-scans or re-shuffles the fact table."""
     from ..ops.reshape import rollup_expand
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    nation_name = dict(zip(nat["n_nationkey"].to_pylist(),
-                           nat["n_name"].to_pylist()))
-    region_of = dict(zip(nat["n_nationkey"].to_pylist(),
-                         nat["n_regionkey"].to_pylist()))
-    region_name = dict(zip(reg["r_regionkey"].to_pylist(),
-                           reg["r_name"].to_pylist()))
-    small_ref = ray.put((nation_name, region_of, region_name))
-
+    names = _nation_names(sf_dir)
     orders = _tbl(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = gated_dim_join(
         orders, os.path.join(sf_dir, "customer.parquet"), key="o_custkey",
@@ -1473,22 +1347,14 @@ def q_rollup_revenue(sf_dir: str):
         rename=["o_custkey", "c_nationkey"],
         left_bytes=parquet_bytes(os.path.join(sf_dir, "orders.parquet")))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nat_name, reg_of, reg_name = ray.get(small_ref)
-        nk = batch["c_nationkey"].to_pylist()
-        t = pa.table({
-            "region": pa.array([reg_name[reg_of[k]] for k in nk], pa.string()),
-            "nation": pa.array([nat_name[k] for k in nk], pa.string()),
-            "cents": _cents(batch["o_totalprice"]),
-        })
-        agg = t.group_by(["region", "nation"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return agg.rename_columns(["region", "nation", "pcents", "pn"])
+    def project(batch: pa.Table) -> pa.Table:
+        region, nation = names(batch["c_nationkey"])
+        return pa.table({"region": region, "nation": nation,
+                         "cents": _cents(batch["o_totalprice"])})
 
-    finest = (joined.map_batches(partial, batch_format="pyarrow")
-              .groupby(["region", "nation"])
-              .aggregate(Sum("pcents", alias_name="rev_cents"),
-                         Sum("pn", alias_name="n_orders")))
+    finest = combine_by(joined, ["region", "nation"], project,
+                        {"rev_cents": ("cents", "sum"),
+                         "n_orders": (None, "count")})
     return rollup_expand(_collect_table(finest),
                          levels=["region", "nation"],
                          value_cols=["rev_cents", "n_orders"])
@@ -1584,30 +1450,8 @@ def q_tfidf_rare_terms(sf_dir: str):
     scored = (ds.map_batches(both_parts, batch_format="pyarrow")
               .groupby("__b").map_groups(bucket_score,
                                          batch_format="pyarrow"))
-    K = 5
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        idx = pc.sort_indices(batch, sort_keys=[("lang", "ascending"),
-                                                ("score", "descending"),
-                                                ("token", "ascending")])
-        t = batch.take(idx)
-        g = t["lang"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(g), bool)
-        new[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(new).astype(np.int64)
-        rank = np.arange(len(g), dtype=np.int64) - starts[np.cumsum(new) - 1]
-        return t.filter(pa.array(rank < K))
-
-    def final_topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(group, sort_keys=[("score", "descending"),
-                                                ("token", "ascending")])
-        return group.take(idx[:K])
-
-    return (scored.map_batches(local_topk, batch_format="pyarrow")
-            .groupby("lang")
-            .map_groups(final_topk, batch_format="pyarrow"))
+    return topk_by(scored, "lang",
+                   [("score", "descending"), ("token", "ascending")], k=5)
 
 
 def q_pagerank_parts(sf_dir: str):
@@ -1620,14 +1464,7 @@ def q_pagerank_parts(sf_dir: str):
     from ..ops.pagerank import pagerank_int
 
     line = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def mkedges(batch: pa.Table) -> pa.Table:
-        o = batch["l_orderkey"].to_numpy(zero_copy_only=False) * 2
-        p = batch["l_partkey"].to_numpy(zero_copy_only=False) * 2 + 1
-        return pa.table({"src": np.concatenate([o, p]),
-                         "dst": np.concatenate([p, o])})
-
-    edges = line.map_batches(mkedges, batch_format="pyarrow")
+    edges = line.map_batches(_purchase_edges, batch_format="pyarrow")
     return pagerank_int(edges, n_iters=3, n_buckets=buckets_for(
         2 * parquet_bytes(os.path.join(sf_dir, "lineitem.parquet"))))
 
@@ -1660,23 +1497,41 @@ def q_full_join_reconcile(sf_dir: str):
         n_buckets=buckets_for(
             parquet_bytes(os.path.join(sf_dir, "orders.parquet"))))
 
-    def status_part(batch: pa.Table) -> pa.Table:
+    def with_status(batch: pa.Table) -> pa.Table:
         ln = pc.is_null(batch["cents"]).to_numpy(zero_copy_only=False)
         rn = pc.is_null(batch["vc"]).to_numpy(zero_copy_only=False)
         status = np.where(ln, "right_only",
                           np.where(rn, "left_only", "both"))
-        t = pa.table({"status": pa.array(status, pa.string()),
-                      "cents": batch["cents"].fill_null(0),
-                      "vc": batch["vc"].fill_null(0)})
-        agg = t.group_by("status").aggregate(
-            [("cents", "sum"), ("vc", "sum"), ([], "count_all")])
-        return agg.rename_columns(["status", "pc_", "pv", "pn"])
+        return pa.table({"status": pa.array(status, pa.string()),
+                         "cents": batch["cents"].fill_null(0),
+                         "vc": batch["vc"].fill_null(0)})
 
-    return (j.map_batches(status_part, batch_format="pyarrow")
-            .groupby("status")
-            .aggregate(Sum("pn", alias_name="n"),
-                       Sum("pc_", alias_name="sum_cents"),
-                       Sum("pv", alias_name="sum_value_cents")))
+    return combine_by(j, "status", with_status,
+                      {"n": (None, "count"), "sum_cents": ("cents", "sum"),
+                       "sum_value_cents": ("vc", "sum")})
+
+
+def _copurchase_pairs(sf_dir: str) -> ray.data.Dataset:
+    """(u, v) pairs of parts bought in the same order, one row per shared
+    order, over the parts in the bottom quarter of the catalogue (partkey ≤
+    |part|/4, so the cut is scale-independent): (order, part) distinct, then
+    per-order part pairs (u < v) via the sorted-segment wedge kernel."""
+    from ..ops.triangles import distinct_pairs, wedges_from_edges
+
+    cutoff = pq.ParquetFile(os.path.join(sf_dir, "part.parquet")
+                            ).metadata.num_rows // 4
+    line = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+
+    def prep(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.less_equal(batch["l_partkey"],
+                                       pa.scalar(cutoff)))
+        return pa.table({"u": t["l_orderkey"].cast(pa.int64()),
+                         "v": t["l_partkey"].cast(pa.int64())})
+
+    order_part = distinct_pairs(line.map_batches(prep,
+                                                 batch_format="pyarrow"))
+    return wedges_from_edges(order_part).map_batches(
+        lambda t: t.rename_columns(["u", "v"]), batch_format="pyarrow")
 
 
 def q_cc_parts(sf_dir: str):
@@ -1691,42 +1546,15 @@ def q_cc_parts(sf_dir: str):
     size = member rows + 1; the oracle is the recursive-CTE transitive
     closure with least(min(other), node)."""
     from ..ops.cc import connected_components
-    from ..ops.triangles import distinct_pairs, wedges_from_edges
 
-    nparts = pq.ParquetFile(os.path.join(sf_dir, "part.parquet")
-                            ).metadata.num_rows
-    cutoff = nparts // 4
-    line = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.less_equal(batch["l_partkey"],
-                                       pa.scalar(cutoff)))
-        return pa.table({"u": t["l_orderkey"].cast(pa.int64()),
-                         "v": t["l_partkey"].cast(pa.int64())})
-
-    order_part = distinct_pairs(line.map_batches(prep,
-                                                 batch_format="pyarrow"))
-    pairs = wedges_from_edges(order_part).map_batches(
-        lambda t: t.rename_columns(["u", "v"]), batch_format="pyarrow")
-
-    def pair_counts(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(["u", "v"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["u", "v", "pn"])
-
-    edges = (pairs.map_batches(pair_counts, batch_format="pyarrow")
-             .groupby(["u", "v"]).aggregate(Sum("pn", alias_name="n"))
+    edges = (combine_by(_copurchase_pairs(sf_dir), ["u", "v"], lambda b: b,
+                        {"n": (None, "count")})
              .map_batches(lambda t: t.filter(
                  pc.greater_equal(t["n"], pa.scalar(2)))
                  .select(["u", "v"]), batch_format="pyarrow"))
     cc = connected_components(edges, a_col="u", b_col="v")
-
-    def part(batch: pa.Table) -> pa.Table:
-        agg = (batch.select(["root"]).group_by("root")
-               .aggregate([([], "count_all")]))
-        return agg.rename_columns(["root", "pn"])
-
-    sizes = (cc.map_batches(part, batch_format="pyarrow")
-             .groupby("root").aggregate(Sum("pn", alias_name="n")))
+    sizes = combine_by(cc, "root", lambda b: b.select(["root"]),
+                       {"n": (None, "count")})
     return sizes.map_batches(
         lambda t: pa.table({"root": t["root"].cast(pa.int64()),
                             "n_members": pc.add(t["n"], pa.scalar(
@@ -1774,27 +1602,9 @@ def q_triangles_parts(sf_dir: str):
     order. The whole chain — per-order co-purchase pairs, edge distinct,
     wedge generation, closure check — is bucketed sorted-segment kernels;
     oracle = a 3-way self-join on the same edge CTE."""
-    from ..ops.triangles import (distinct_pairs, triangle_count,
-                                 wedges_from_edges)
+    from ..ops.triangles import distinct_pairs, triangle_count
 
-    nparts = pq.ParquetFile(os.path.join(sf_dir, "part.parquet")
-                            ).metadata.num_rows
-    cutoff = nparts // 4
-    line = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.less_equal(batch["l_partkey"],
-                                       pa.scalar(cutoff)))
-        return pa.table({"u": t["l_orderkey"].cast(pa.int64()),
-                         "v": t["l_partkey"].cast(pa.int64())})
-
-    # (order, part) distinct → per-order part pairs (p1 < p2) via the same
-    # sorted-segment wedge kernel → distinct undirected edges
-    order_part = distinct_pairs(line.map_batches(prep,
-                                                 batch_format="pyarrow"))
-    pairs = wedges_from_edges(order_part).map_batches(
-        lambda t: t.rename_columns(["u", "v"]), batch_format="pyarrow")
-    edges = distinct_pairs(pairs)
+    edges = distinct_pairs(_copurchase_pairs(sf_dir))
     # id orientation: at this catalogue's degree skew the hub-proof
     # orient="degree" path (O(E^1.5) wedge cap, count-invariant — tested)
     # trims wedges only ~20% while adding three fixed shuffles; it is the
@@ -1845,16 +1655,9 @@ def q_group_median(sf_dir: str):
     value-count rows shuffle (the price_quantiles trick applied per group);
     the per-group pick is a vectorized cumulative-weight rank lookup at
     rank ceil(n/2), DuckDB quantile_disc's discrete pick."""
-    ds = _tbl(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-
-    def part(batch: pa.Table) -> pa.Table:
-        t = pa.table({"g": batch["o_orderpriority"],
-                      "v": _cents(batch["o_totalprice"])})
-        agg = t.group_by(["g", "v"]).aggregate([([], "count_all")])
-        return agg.rename_columns(["g", "v", "pn"])
-
-    counts = (ds.map_batches(part, batch_format="pyarrow")
-              .groupby(["g", "v"]).aggregate(Sum("pn", alias_name="n")))
+    counts = _cents_counts(
+        _tbl(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]),
+        "o_orderpriority", "o_totalprice")
 
     def pick(gr: pa.Table) -> pa.Table:
         idx = pc.sort_indices(gr, sort_keys=[("v", "ascending")])
@@ -1881,25 +1684,20 @@ def q_zorder_lineitem(sf_dir: str):
     so the oracle recomputes every key bit-for-bit (range(16) bit sum);
     result = per 1024-way z-bucket: row count and the orderkey envelope."""
     from ..ops.layout import zorder_sort
-    from ray.data.aggregate import Min
 
     ds = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     z = zorder_sort(ds, "l_orderkey", "l_partkey", bits=16)
 
-    def part(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         zb = pc.divide(batch["zkey"],
                        pa.scalar(1 << 22, pa.int64()))  # non-negative: floor
-        t = pa.table({"zbucket": zb,
-                      "ok": batch["l_orderkey"].cast(pa.int64())})
-        agg = t.group_by("zbucket").aggregate(
-            [("ok", "min"), ("ok", "max"), ([], "count_all")])
-        return agg.rename_columns(["zbucket", "pmin", "pmax", "pn"])
+        return pa.table({"zbucket": zb,
+                         "ok": batch["l_orderkey"].cast(pa.int64())})
 
-    return (z.map_batches(part, batch_format="pyarrow")
-            .groupby("zbucket")
-            .aggregate(Sum("pn", alias_name="n_rows"),
-                       Min("pmin", alias_name="min_orderkey"),
-                       Max("pmax", alias_name="max_orderkey")))
+    return combine_by(z, "zbucket", project,
+                      {"n_rows": (None, "count"),
+                       "min_orderkey": ("ok", "min"),
+                       "max_orderkey": ("ok", "max")})
 
 
 def q_cube_revenue(sf_dir: str):
@@ -1911,14 +1709,7 @@ def q_cube_revenue(sf_dir: str):
     tiny finest result driver-side."""
     from ..ops.reshape import cube_expand
 
-    nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    reg = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    region_of = dict(zip(nat["n_nationkey"].to_pylist(),
-                         nat["n_regionkey"].to_pylist()))
-    region_name = dict(zip(reg["r_regionkey"].to_pylist(),
-                           reg["r_name"].to_pylist()))
-    small_ref = ray.put((region_of, region_name))
-
+    names = _nation_names(sf_dir)
     orders = _tbl(sf_dir, "orders",
                   ["o_custkey", "o_totalprice", "o_orderpriority"])
     joined = gated_dim_join(
@@ -1927,23 +1718,15 @@ def q_cube_revenue(sf_dir: str):
         rename=["o_custkey", "c_nationkey"],
         left_bytes=parquet_bytes(os.path.join(sf_dir, "orders.parquet")))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        reg_of, reg_name = ray.get(small_ref)
-        nk = batch["c_nationkey"].to_pylist()
-        t = pa.table({
-            "region": pa.array([reg_name[reg_of[k]] for k in nk],
-                               pa.string()),
-            "priority": batch["o_orderpriority"],
-            "cents": _cents(batch["o_totalprice"]),
-        })
-        agg = t.group_by(["region", "priority"]).aggregate(
-            [("cents", "sum"), ([], "count_all")])
-        return agg.rename_columns(["region", "priority", "pcents", "pn"])
+    def project(batch: pa.Table) -> pa.Table:
+        region, _ = names(batch["c_nationkey"])
+        return pa.table({"region": region,
+                         "priority": batch["o_orderpriority"],
+                         "cents": _cents(batch["o_totalprice"])})
 
-    finest = (joined.map_batches(partial, batch_format="pyarrow")
-              .groupby(["region", "priority"])
-              .aggregate(Sum("pcents", alias_name="rev_cents"),
-                         Sum("pn", alias_name="n_orders")))
+    finest = combine_by(joined, ["region", "priority"], project,
+                        {"rev_cents": ("cents", "sum"),
+                         "n_orders": (None, "count")})
     return cube_expand(_collect_table(finest),
                        levels=["region", "priority"],
                        value_cols=["rev_cents", "n_orders"])
@@ -1960,12 +1743,6 @@ def q_bfs_order_part(sf_dir: str):
 
     line = _tbl(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    def mkedges(batch: pa.Table) -> pa.Table:
-        o = batch["l_orderkey"].to_numpy(zero_copy_only=False) * 2
-        p = batch["l_partkey"].to_numpy(zero_copy_only=False) * 2 + 1
-        return pa.table({"src": np.concatenate([o, p]),
-                         "dst": np.concatenate([p, o])})
-
     def mksrc(batch: pa.Table) -> pa.Table:
         pk = batch["l_partkey"].cast(pa.int64())
         sel = pc.less_equal(pk, 10)
@@ -1973,7 +1750,7 @@ def q_bfs_order_part(sf_dir: str):
                                                     pa.scalar(2, pa.int64())),
                                         pa.scalar(1, pa.int64()))})
 
-    edges = line.map_batches(mkedges, batch_format="pyarrow")
+    edges = line.map_batches(_purchase_edges, batch_format="pyarrow")
     sources = line.map_batches(mksrc, batch_format="pyarrow")
     return bfs_levels(edges, sources, n_iters=3, n_buckets=buckets_for(
         2 * parquet_bytes(os.path.join(sf_dir, "lineitem.parquet"))))
@@ -1990,30 +1767,21 @@ def q_grouped_moments(sf_dir: str):
     ds = _tbl(sf_dir, "lineitem",
               ["l_returnflag", "l_linestatus", "l_quantity", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         x = _cents(batch["l_quantity"])
         y = pc.floor(pc.add(pc.multiply(batch["l_discount"],
                                         pa.scalar(10_000.0)),
                             pa.scalar(0.5))).cast(pa.int64())
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "l_linestatus": batch["l_linestatus"],
-                      "x": x, "xx": pc.multiply(x, x),
-                      "y": y, "yy": pc.multiply(y, y),
-                      "xy": pc.multiply(x, y),
-                      "one": pa.array(np.ones(batch.num_rows, np.int64))})
-        agg = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [(c, "sum") for c in ("x", "xx", "y", "yy", "xy", "one")])
-        return agg.rename_columns(["l_returnflag", "l_linestatus",
-                                   "px", "pxx", "py", "pyy", "pxy", "pn"])
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "l_linestatus": batch["l_linestatus"],
+                         "x": x, "xx": pc.multiply(x, x),
+                         "y": y, "yy": pc.multiply(y, y),
+                         "xy": pc.multiply(x, y)})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(["l_returnflag", "l_linestatus"])
-            .aggregate(Sum("px", alias_name="sx"),
-                       Sum("pxx", alias_name="sxx"),
-                       Sum("py", alias_name="sy"),
-                       Sum("pyy", alias_name="syy"),
-                       Sum("pxy", alias_name="sxy"),
-                       Sum("pn", alias_name="n")))
+    return combine_by(ds, ["l_returnflag", "l_linestatus"], project,
+                      {**{"s" + c: (c, "sum")
+                          for c in ("x", "xx", "y", "yy", "xy")},
+                       "n": (None, "count")})
 
 
 def q_price_histogram(sf_dir: str):
@@ -2023,18 +1791,13 @@ def q_price_histogram(sf_dir: str):
     rows whatever the fact-table size."""
     ds = _tbl(sf_dir, "orders", ["o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         b = pc.floor(pc.divide(batch["o_totalprice"],
                                pa.scalar(50_000.0))).cast(pa.int64())
-        t = pa.table({"bin": b, "pc_": _cents(batch["o_totalprice"]),
-                      "pn": pa.array(np.ones(batch.num_rows, np.int64))})
-        agg = t.group_by("bin").aggregate([("pc_", "sum"), ("pn", "sum")])
-        return agg.rename_columns(["bin", "pc_", "pn"])
+        return pa.table({"bin": b, "c": _cents(batch["o_totalprice"])})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("bin")
-            .aggregate(Sum("pc_", alias_name="cents"),
-                       Sum("pn", alias_name="n")))
+    return combine_by(ds, "bin", project,
+                      {"cents": ("c", "sum"), "n": (None, "count")})
 
 
 def q_segment_names(sf_dir: str):
@@ -2056,11 +1819,7 @@ def q_segment_names(sf_dir: str):
                                             ("bal", "descending"),
                                             ("c_name", "ascending")])
         t = t.take(idx)
-        g = t["c_mktsegment"].to_numpy(zero_copy_only=False)
-        new = np.ones(len(g), bool)
-        new[1:] = g[1:] != g[:-1]
-        starts = np.flatnonzero(new).astype(np.int64)
-        rank = np.arange(len(g), dtype=np.int64) - starts[np.cumsum(new) - 1]
+        rank = segment_rank(t["c_mktsegment"].to_numpy(zero_copy_only=False))
         return t.filter(pa.array(rank < K))
 
     def concat_group(group: pa.Table) -> pa.Table:
@@ -2087,14 +1846,8 @@ def q_running_total(sf_dir: str):
     from ..ops.window import partitioned_running
 
     ds = _tbl(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "ts_i": batch["ts"].cast(pa.int64()),
-                         "vc": _cents(batch["value"])})
-
-    out = partitioned_running(ds.map_batches(prep, batch_format="pyarrow"),
+    out = partitioned_running(ds.map_batches(_user_event_cents,
+                                             batch_format="pyarrow"),
                               key_col="user_id",
                               order_cols=["ts_i", "event_id"],
                               value_col="vc")
@@ -2160,19 +1913,29 @@ def q_range_window(sf_dir: str):
     from ..ops.window import partitioned_range_sum
 
     ds = _tbl(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({"user_id": batch["user_id"],
-                         "event_id": batch["event_id"],
-                         "ts_i": batch["ts"].cast(pa.int64()),
-                         "vc": _cents(batch["value"])})
-
-    out = partitioned_range_sum(ds.map_batches(prep, batch_format="pyarrow"),
+    out = partitioned_range_sum(ds.map_batches(_user_event_cents,
+                                               batch_format="pyarrow"),
                                 key_col="user_id", ts_col="ts_i",
                                 value_col="vc", win=3_600_000_000)
     return out.map_batches(
         lambda t: t.select(["user_id", "event_id", "range_sum"]),
         batch_format="pyarrow")
+
+
+def _urgent_days(sf_dir: str) -> tuple[ray.data.Dataset, ray.data.Dataset]:
+    """Order dates (%Y-%m-%d) of 1-URGENT orders and of all other orders:
+    the two sides of the date set operations."""
+    orders = _tbl(sf_dir, "orders", ["o_orderdate", "o_orderpriority"])
+
+    def side(op):
+        def f(batch: pa.Table) -> pa.Table:
+            sub = batch.filter(op(batch["o_orderpriority"], "1-URGENT"))
+            return pa.table({"day": pc.strftime(sub["o_orderdate"],
+                                                format="%Y-%m-%d")})
+        return f
+
+    return (orders.map_batches(side(pc.equal), batch_format="pyarrow"),
+            orders.map_batches(side(pc.not_equal), batch_format="pyarrow"))
 
 
 def q_dates_intersect(sf_dir: str):
@@ -2181,21 +1944,7 @@ def q_dates_intersect(sf_dir: str):
     bits, one presence groupby — only the distinct date domain shuffles."""
     from ..ops.setops import distinct_intersect
 
-    def side(pred):
-        def f(batch: pa.Table) -> pa.Table:
-            sub = batch.filter(pred(batch))
-            return pa.table({"day": pc.strftime(sub["o_orderdate"],
-                                                format="%Y-%m-%d")})
-        return f
-
-    orders = _tbl(sf_dir, "orders", ["o_orderdate", "o_orderpriority"])
-    urgent = orders.map_batches(
-        side(lambda b: pc.equal(b["o_orderpriority"], "1-URGENT")),
-        batch_format="pyarrow")
-    rest = orders.map_batches(
-        side(lambda b: pc.not_equal(b["o_orderpriority"], "1-URGENT")),
-        batch_format="pyarrow")
-    return distinct_intersect(urgent, rest, ["day"])
+    return distinct_intersect(*_urgent_days(sf_dir), ["day"])
 
 
 def q_dates_except(sf_dir: str):
@@ -2203,23 +1952,9 @@ def q_dates_except(sf_dir: str):
     urgent order but NO non-urgent one."""
     from ..ops.setops import distinct_except
 
-    def side(pred):
-        def f(batch: pa.Table) -> pa.Table:
-            sub = batch.filter(pred(batch))
-            return pa.table({"day": pc.strftime(sub["o_orderdate"],
-                                                format="%Y-%m-%d")})
-        return f
-
-    orders = _tbl(sf_dir, "orders", ["o_orderdate", "o_orderpriority"])
-    urgent = orders.map_batches(
-        side(lambda b: pc.equal(b["o_orderpriority"], "1-URGENT")),
-        batch_format="pyarrow")
-    rest = orders.map_batches(
-        side(lambda b: pc.not_equal(b["o_orderpriority"], "1-URGENT")),
-        batch_format="pyarrow")
     # EXCEPT can be legitimately EMPTY (it is at sf0.1) — collect to a typed
     # table so the schema survives an all-empty result (driver compare).
-    return _collect_table(distinct_except(urgent, rest, ["day"]))
+    return _collect_table(distinct_except(*_urgent_days(sf_dir), ["day"]))
 
 
 def q_kmeans_clusters(sf_dir: str):
@@ -2287,16 +2022,10 @@ def q_corpus_prep(sf_dir: str):
                                        batch_format="pyarrow"))
     split = hash_split(surv, "doc_id", hash_fn="knuth32")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = (batch.select(["split", "lang", "n_tokens"])
-               .group_by(["split", "lang"])
-               .aggregate([("n_tokens", "sum"), ([], "count_all")]))
-        return agg.rename_columns(["split", "lang", "pt", "pn"])
-
-    return (split.map_batches(partial, batch_format="pyarrow")
-            .groupby(["split", "lang"])
-            .aggregate(Sum("pn", alias_name="n_docs"),
-                       Sum("pt", alias_name="tokens")))
+    return combine_by(split, ["split", "lang"],
+                      lambda b: b.select(["split", "lang", "n_tokens"]),
+                      {"n_docs": (None, "count"),
+                       "tokens": ("n_tokens", "sum")})
 
 
 def q_sequence_packing(sf_dir: str):
@@ -2321,18 +2050,14 @@ def q_sequence_packing(sf_dir: str):
                              order_col="doc_id", value_col="n_tokens")
     budget = 2048
 
-    def binpart(batch: pa.Table) -> pa.Table:
+    def binned(batch: pa.Table) -> pa.Table:
         excl = pc.subtract(batch["running"], batch["n_tokens"])
-        b = pc.divide(excl, pa.scalar(budget, pa.int64()))
-        t = pa.table({"bin": b, "n_tokens": batch["n_tokens"]})
-        agg = t.group_by("bin").aggregate([("n_tokens", "sum"),
-                                           ([], "count_all")])
-        return agg.rename_columns(["bin", "pt", "pn"])
+        return pa.table({"bin": pc.divide(excl, pa.scalar(budget, pa.int64())),
+                         "n_tokens": batch["n_tokens"]})
 
-    return (run.map_batches(binpart, batch_format="pyarrow")
-            .groupby("bin")
-            .aggregate(Sum("pn", alias_name="n_docs"),
-                       Sum("pt", alias_name="tokens")))
+    return combine_by(run, "bin", binned,
+                      {"n_docs": (None, "count"),
+                       "tokens": ("n_tokens", "sum")})
 
 
 def q_price_ntile(sf_dir: str):
@@ -2362,25 +2087,19 @@ def q_price_ntile(sf_dir: str):
     run = global_running_sum(ds.map_batches(fuse, batch_format="pyarrow"),
                              order_col="k", value_col="one")
 
-    def part(batch: pa.Table) -> pa.Table:
+    def quartile(batch: pa.Table) -> pa.Table:
         rn = batch["running"]  # row_number in (cents, orderkey) order
         q = pc.add(pc.divide(pc.multiply(pc.subtract(rn, pa.scalar(1)),
                                          pa.scalar(4)),
                              pa.scalar(n_rows, pa.int64())),
                    pa.scalar(1)).cast(pa.int64())
-        t = pa.table({"quartile": q, "cents": batch["cents"]})
-        agg = t.group_by("quartile").aggregate(
-            [("cents", "sum"), ("cents", "min"), ("cents", "max"),
-             ([], "count_all")])
-        return agg.rename_columns(["quartile", "ps", "pmin", "pmax", "pn"])
+        return pa.table({"quartile": q, "cents": batch["cents"]})
 
-    from ray.data.aggregate import Min
-    return (run.map_batches(part, batch_format="pyarrow")
-            .groupby("quartile")
-            .aggregate(Sum("pn", alias_name="n_orders"),
-                       Sum("ps", alias_name="sum_cents"),
-                       Min("pmin", alias_name="min_cents"),
-                       Max("pmax", alias_name="max_cents")))
+    return combine_by(run, "quartile", quartile,
+                      {"n_orders": (None, "count"),
+                       "sum_cents": ("cents", "sum"),
+                       "min_cents": ("cents", "min"),
+                       "max_cents": ("cents", "max")})
 
 
 def q_events_unpivot(sf_dir: str):
@@ -2388,19 +2107,11 @@ def q_events_unpivot(sf_dir: str):
     per-day crosstab melted back to (day, event_type, n) long form — zero
     cells KEPT (the oracle builds the dense day×type grid with a cross join
     + COALESCE). Pivot → melt round-trips the reshape family end-to-end."""
-    from ..ops.reshape import melt, pivot_counts
+    from ..ops.reshape import melt
 
-    ds = _tbl(sf_dir, "events", ["ts", "event_type"])
-
-    def with_day(batch: pa.Table) -> pa.Table:
-        return pa.table({"day": pc.strftime(batch["ts"], format="%Y-%m-%d"),
-                         "event_type": batch["event_type"]})
-
-    cats = ["click", "error", "purchase", "signup", "view"]
-    wide = pivot_counts(ds.map_batches(with_day, batch_format="pyarrow"),
-                        row_key="day", col_key="event_type", categories=cats)
-    return melt(wide, id_cols=["day"], value_cols=cats,
-                var_name="event_type", value_name="n")
+    return melt(q_events_pivot(sf_dir), id_cols=["day"],
+                value_cols=_EVENT_TYPES, var_name="event_type",
+                value_name="n")
 
 
 def q_grouped_quantile_sketch(sf_dir: str) -> pa.Table:

@@ -41,6 +41,11 @@ import zlib
 _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj(.*?)endobj", re.S)
 _STREAM_RE = re.compile(rb"stream\r?\n(.*?)\r?\nendstream", re.S)
 _REF_RE = re.compile(rb"(\d+)\s+\d+\s+R")
+_DICT_DELIM_RE = re.compile(rb"<<|>>")
+_TRAILER_RE = re.compile(rb"\btrailer\s*(?=<<)")
+_OBJ_DICT_RE = re.compile(rb"\d+\s+\d+\s+obj\s*(?=<<)")
+_XREF_TYPE_RE = re.compile(rb"/Type\s*/XRef\b")
+_ENCRYPT_RE = re.compile(rb"/Encrypt\s*(?:\d+\s+\d+\s+R|<<)")
 
 
 class EncryptedPdfError(ValueError):
@@ -567,14 +572,37 @@ def _extract_page_text(
     return text
 
 
+def _dict_at(data: bytes, start: int) -> bytes:
+    """The balanced ``<< … >>`` dictionary that opens at ``data[start]``."""
+    depth = 0
+    for m in _DICT_DELIM_RE.finditer(data, start):
+        depth += 1 if m.group() == b"<<" else -1
+        if depth == 0:
+            return data[start:m.end()]
+    return data[start:]
+
+
+def _is_encrypted(data: bytes) -> bool:
+    """True when a trailer dictionary or an XRef-stream dictionary (one per
+    incremental update) carries /Encrypt, as an indirect reference or an
+    inline dictionary. Only those dictionaries count: the same bytes inside a
+    content stream or a string are page text."""
+    for m in _TRAILER_RE.finditer(data):
+        if _ENCRYPT_RE.search(_dict_at(data, m.end())):
+            return True
+    for m in _OBJ_DICT_RE.finditer(data):
+        d = _dict_at(data, m.end())
+        if _XREF_TYPE_RE.search(d) and _ENCRYPT_RE.search(d):
+            return True
+    return False
+
+
 def extract_pdf_text(data: bytes) -> str:
     """PDF bytes → text; pages joined with "\\n\\n" (parser.go:90). Raises
     ValueError when the bytes are not parseable as a PDF."""
     if not data.startswith(b"%PDF"):
         raise ValueError("not a PDF (missing %PDF header)")
-    # /Encrypt always points at the encryption dict as an indirect reference
-    # from a (possibly incremental-update) trailer; one linear scan finds it
-    if re.search(rb"/Encrypt\s+\d+\s+\d+\s+R", data):
+    if _is_encrypted(data):
         raise EncryptedPdfError("encrypted PDF (no key handling)")
     objs = _parse_objects(data)
     if not objs:

@@ -64,10 +64,6 @@ def minhash_signatures(keys: list[str]) -> np.ndarray:
     return minhash_sigs_batch([_key_bytes(k) for k in keys], MINHASH_K)
 
 
-def minhash_signature(key: str) -> np.ndarray:
-    return minhash_signatures([key])[0]
-
-
 def lsh_band_arrays(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized LSH banding for a batch of surface keys: returns
     (band_ids, band_hashes), each of shape (len(keys) × LSH_BANDS), row-major

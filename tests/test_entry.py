@@ -58,10 +58,22 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 SQL_CHECKED = sorted(set((_load_entry()).oracle_sql()))
 
 
+def _fields(schema: pa.Schema) -> dict[str, pa.DataType]:
+    return {f.name: f.type for f in schema}
+
+
 @pytest.mark.parametrize("name", SQL_CHECKED)
 def test_query_matches_oracle(entry_mod, con, name):
-    got = _norm(_to_pandas(entry_mod.queries()[name](SF_DIR)))
-    want = _norm(con.sql(entry_mod.oracle_sql()[name]).df())
+    """Values, plus the Arrow field names and types (in any column order):
+    the value compare alone ignores dtypes, so a combiner that widened or
+    narrowed a column would otherwise pass."""
+    from ner_backend_ray.pipelines.queries import _collect_table
+    res = _collect_table(entry_mod.queries()[name](SF_DIR))
+    sql_res = con.sql(entry_mod.oracle_sql()[name]).arrow()
+    assert _fields(res.schema) == _fields(sql_res.schema), (res.schema,
+                                                           sql_res.schema)
+    got = _norm(res.to_pandas())
+    want = _norm(sql_res.to_pandas())
     assert list(got.columns) == list(want.columns), (got.columns, want.columns)
     assert len(got) == len(want), (len(got), len(want))
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=False,

@@ -124,7 +124,7 @@ def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path
 
 _ONE_CPU_RUN = """
 import json, os, sys, tempfile
-import pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
+import duckdb, pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
 ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
 from ner_backend_ray.fixtures.pages import generate_pages
@@ -150,26 +150,43 @@ out = tempfile.mkdtemp()
 run_kg_checkpointed(fx, out, KGConfig())
 ok.update({f"ckpt_{n}": same(n, pq.read_table(os.path.join(out, "graph", n)))
            for n in cols})
+
+# the operator queries' regex tag pool, against its oracle SQL
+from ner_backend_ray.pipelines.queries import (ORACLE_SQL, _collect_table,
+                                               q_regex_mention_runs)
+sf_dir = sys.argv[1]
+con = duckdb.connect()
+con.execute(f"CREATE VIEW documents AS SELECT * FROM '{sf_dir}/documents.parquet'")
+keys = [(c, "ascending") for c in ("doc_id", "label", "n_runs")]
+got = _collect_table(q_regex_mention_runs(sf_dir)).sort_by(keys)
+want = con.sql(ORACLE_SQL["regex_mention_runs"]).arrow().sort_by(keys)
+ok["regex_mention_runs"] = got.num_rows > 0 and got.equals(want.select(got.column_names))
 print(json.dumps(ok))
 ray.shutdown()
 """
 
 
 def test_both_runners_finish_on_one_cpu(tiny_fixture):
-    """A 1-CPU session must not starve the read tasks upstream of the tag
-    pool: both runners finish, and their nodes/edges equal the oracle."""
+    """A 1-CPU session must not starve the read tasks upstream of a tag
+    pool: both KG runners finish with nodes/edges equal to the oracle, and
+    the operator queries' regex tag pool (regex_mention_runs) equals its
+    oracle SQL."""
     import json
     import subprocess
     import sys
 
+    from test_ops import SF_DIR
+
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_RUN], cwd=root,
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_RUN, SF_DIR],
+                          cwd=root,
                           env={**os.environ, "PYTHONPATH": root},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     ok = json.loads(proc.stdout.strip().splitlines()[-1])
     assert ok == {k: True for k in ("stream_nodes", "stream_edges",
-                                    "ckpt_nodes", "ckpt_edges")}, ok
+                                    "ckpt_nodes", "ckpt_edges",
+                                    "regex_mention_runs")}, ok
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
     from ner_backend_ray.stages.extract import extract_text_batch

@@ -242,6 +242,30 @@ def test_encrypted_pdf_skipped():
     assert by_path == {"enc.pdf": "skipped", "ok.pdf": "succeeded"}
 
 
+
+def test_encrypt_text_in_content_stream_still_extracts():
+    """/Encrypt only counts inside a trailer or XRef-stream dictionary; the
+    same bytes as page text do not mark the file encrypted."""
+    from ner_backend_ray.sources.pdf import extract_pdf_text
+    pdf = _make_pdf(["see /Encrypt 5 0 R here"], compress=False)
+    assert b"/Encrypt 5 0 R" in pdf
+    assert extract_pdf_text(pdf) == "see /Encrypt 5 0 R here"
+
+
+@pytest.mark.parametrize("where", ["trailer_inline", "xref_stream"])
+def test_encrypt_inline_trailer_or_xref_stream_raises(where):
+    from ner_backend_ray.sources.pdf import EncryptedPdfError, extract_pdf_text
+    pdf = _make_pdf(["secret"])
+    if where == "trailer_inline":
+        enc = pdf.replace(b"/Root 1 0 R", b"/Root 1 0 R /Encrypt << /Filter "
+                          b"/Standard /V 2 /R 3 /O <00> /U <00> /P -4 >>")
+    else:
+        xref = (b"99 0 obj\n<< /Type /XRef /Size 100 /W [1 2 1] /Root 1 0 R"
+                b" /Encrypt 9 0 R /Length 0 >>\nstream\n\nendstream\nendobj\n")
+        enc = pdf.replace(b"xref\n", xref + b"xref\n", 1)
+    with pytest.raises(EncryptedPdfError):
+        extract_pdf_text(enc)
+
 def _swap_content_stream(pdf, head, payload):
     """Replace object 4's content stream (dict head + raw bytes) in a
     one-page _make_pdf document."""
