@@ -67,7 +67,7 @@ def _warmup():
 
 
 def run_kg(sf: float) -> tuple[float, dict[str, int]]:
-    """Time the flagship KG pipeline end-to-end (tag+link actor pool → explodes →
+    """Time the flagship KG pipeline end-to-end (tag+link kernel tasks → explodes →
     canonicalize → graph). Returns (wall_sec, table counts)."""
     from ner_backend_ray.fixtures.pages import pages_fixture_dir
     from ner_backend_ray.oracle import KGConfig

@@ -5,7 +5,8 @@ ThirdAILabs/ner-backend (reference snapshot at /root/reference, cited per-module
 file:line), re-expressed as streaming ``ray.data.Dataset`` pipelines:
 
 - per-document transforms are vectorized ``map_batches`` stages over Arrow batches,
-- stateful stages (taggers, linkers) are actor pools (setup once per actor),
+- stateful stages (taggers, linkers) are task ``map_batches`` over a kernel
+  built once per worker process (stages/kernel.py::per_process),
 - wide steps (canonicalization, edge dedup, artifact sorts) are explicit
   groupby/aggregate shuffles with partial pre-aggregation and hot-key salting,
 - outputs are partitioned Parquet with per-partition lineage for resume.

@@ -8,7 +8,7 @@ report-tag allowlist → custom-regex entities → group-filter evaluation (on t
 (processor.go:640-641).
 
 This is a pure function of (text, config); the single-threaded oracle and the Ray
-actor-pool stages call exactly this code, which is what makes distributed output
+tag stages call exactly this code, which is what makes distributed output
 bit-identical to the oracle.
 """
 

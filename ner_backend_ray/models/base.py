@@ -2,7 +2,7 @@
 
 Analog of the reference's Model interface + ModelLoader registry
 (internal/core/model.go:13-75): an opaque stateful scorer loaded once per worker
-(here: once per Ray actor in ``__init__``) exposing per-document prediction.
+(here: once per Ray worker process in ``__init__``) exposing per-document prediction.
 
 ``predict`` takes raw document bytes and returns entities in token/offset order
 (ascending start), as the reference taggers do (SURVEY.md §2.10) — FilterEntities

@@ -9,7 +9,7 @@ same forward ``text.find`` scan (ensemble.py:58-76; tokens are not merged).
 
 Members are any registered taggers (model.go:49-75 registry seam), so an
 ensemble composes e.g. the hash-embedding CRF with the presidio bank or a
-custom regex tagger; it loads once per Ray actor like every other tagger.
+custom regex tagger; it loads once per Ray worker process like every other tagger.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ onnx.go:110-130) → first-non-O aggregation (onnx.go:132-145) → entities at
 
 Everything is deterministic: weights are a pure function of the (surface, label)
 vocabulary passed at construction (crc32 feature hashing, fixed seeds), so a
-single-threaded oracle and a distributed actor pool produce identical output.
+single-threaded oracle and distributed tag tasks produce identical output.
 """
 
 from __future__ import annotations
@@ -414,9 +414,9 @@ class HashEmbeddingTagger:
 
 def build_default_tagger(alias_path: str | None = None) -> HashEmbeddingTagger:
     """Build the tagger from the deterministic fixture vocabulary (and optionally
-    the alias dictionary parquet). Loaded once per actor in ``__init__`` — the
-    reference's download-once/load-per-task pattern (processor.go:408-436), strictly
-    amortized over the actor lifetime."""
+    the alias dictionary parquet). Loaded once per worker process in ``__init__`` —
+    the reference's download-once/load-per-task pattern (processor.go:408-436),
+    strictly amortized over the kernel's lifetime."""
     from ..fixtures.pools import tagger_vocab, o_vocab
     vocab = tagger_vocab()
     if alias_path is not None:
@@ -428,5 +428,5 @@ def build_default_tagger(alias_path: str | None = None) -> HashEmbeddingTagger:
 
 register_tagger("hash_embedding", lambda alias_path=None: build_default_tagger(alias_path))
 # saved-artifact loader — the "download from model bucket, load from dir" path
-# (processor.go:408-436); the dir is the artifact, shipped to actors by path
+# (processor.go:408-436); the dir is the artifact, shipped to workers by path
 register_tagger("hash_embedding_saved", lambda path: HashEmbeddingTagger.load(path))

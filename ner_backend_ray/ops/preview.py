@@ -5,8 +5,9 @@ first ≤1000 whitespace tokens, re-run the model over the truncated text, and e
 parallel tokens/tags arrays (the JSON token-tag blobs of
 internal/database/schema.go:129-133, here proper Arrow list columns).
 
-Ray form: a stateful actor-pool ``map_batches`` (the model loads once per actor,
-like the tag stage); stateless token slicing is vectorized per batch.
+Ray form: a task ``map_batches`` over a per-process kernel (the model loads once
+per worker process, like the tag stage); stateless token slicing is vectorized
+per batch.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def truncate_tokens(text: bytes, max_tokens: int = PREVIEW_TOKENS) -> bytes:
 
 
 class PreviewDocs:
-    """Actor-pool stage: (url, html|text) → (url, tokens list<str>, tags list<str>).
+    """Per-process kernel stage: (url, html|text) → (url, tokens list<str>, tags list<str>).
 
     Tags are per-token labels from the model over the truncated text with the
     first-non-O word aggregation already applied by the tagger; untagged tokens

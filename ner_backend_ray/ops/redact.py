@@ -44,8 +44,9 @@ def redact_text(text: bytes, entities: list[dict],
 
 
 class RedactDocs:
-    """Actor-pool stage: (id, text) → (id, redacted). The tagger loads ONCE per
-    actor in ``__init__`` (the TagDocs/PreviewDocs pattern) — never inside the
+    """Per-process kernel stage: (id, text) → (id, redacted). The tagger loads
+    ONCE per worker process in ``__init__`` (the TagDocs/PreviewDocs pattern,
+    via stages/kernel.py::per_process) — never inside the
     per-batch function, where it would recompile the pattern bank every batch."""
 
     def __init__(self, model_type: str = "regex",

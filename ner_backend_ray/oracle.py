@@ -40,7 +40,7 @@ class KGConfig:
     })
     min_link_score: float = 0.0
     batch_size: int = 256
-    tag_concurrency: int | None = None  # None → auto (num_cpus based)
+    tag_concurrency: int | None = None  # cap on concurrent tag tasks; None → executor
 
 
 def _decode(b: bytes) -> str:

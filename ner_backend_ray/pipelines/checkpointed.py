@@ -7,15 +7,17 @@ on boot, no partial-task resume). Ours is file-system-native:
 - **Partition = one input pages parquet file** (the analog of a bin-packed
   InferenceTask shard, internal/storage/file_system_connector_utils.go:12-63; at real
   scale a shard is a ~200 MB-10 GB file, processor.go:715-718).
-- Phase 1 (embarrassingly parallel, no shuffle) runs as an actor-pool ``map_batches``
-  over the *task list* dataset: each call processes one file through the same
-  extract → ``TagDocs`` kernel as the streaming pipeline, built from the same
-  ``tag_docs_kwargs``, so linking happens inside ``TagDocs`` and ``docs`` carries
-  linked mentions and triples. It writes ``{out}/{table}/part-{pid}.parquet``
+- Phase 1 (embarrassingly parallel, no shuffle) runs as one Ray Data task per
+  file over the *task list* dataset: each task processes one file through the
+  same extract → ``TagDocs`` kernel as the streaming pipeline, built from the
+  same ``tag_docs_kwargs`` once per worker process (stages/kernel.py), so
+  linking happens inside ``TagDocs`` and ``docs`` carries linked mentions and
+  triples. It writes ``{out}/{table}/part-{pid}.parquet``
   atomically (tmp + rename) for ``docs`` and its flat explodes (``mentions``,
   ``groups``, ``triples``), and finally ``{out}/_lineage/part-{pid}.json`` with
   input fingerprint + row counters. A partition's outputs are a pure function of
-  its input file, so resumed runs are byte-identical.
+  its input file and every write is atomic, so a retried task (its worker died)
+  and a resumed run are both byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten.
 - Phase 2 (the shuffles: canonicalize, nodes, edges) reads ``{out}/docs`` into the
@@ -39,8 +41,9 @@ import ray.data
 
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
+from ..stages.kernel import per_process
 from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
-from .kg import actor_pool, kg_tables, tag_docs_kwargs
+from .kg import kg_tables, tag_docs_kwargs
 
 PHASE1_TABLES = ("docs", "mentions", "groups", "triples")
 
@@ -57,9 +60,10 @@ def _atomic_write(table: pa.Table, path: str) -> None:
 
 
 class PartitionWorker:
-    """Actor: model + alias dict loaded once (in the shared ``TagDocs`` kernel);
-    each __call__ processes whole input files (batch of task rows) and
-    checkpoints them."""
+    """Per-file phase-1 kernel: model + alias dict loaded once per worker
+    process (in the shared ``TagDocs`` kernel, via ``per_process``); each
+    __call__ processes whole input files (batch of task rows) and checkpoints
+    them."""
 
     def __init__(self, cfg: KGConfig, fixture_dir: str, out_dir: str, batch_size: int):
         self.tagger = TagDocs(**tag_docs_kwargs(cfg, fixture_dir))
@@ -130,7 +134,8 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
 
 def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
                concurrency: int | None = None, max_partitions: int | None = None) -> dict:
-    """Tag/link/triple phase with per-partition checkpointing. ``max_partitions``
+    """Tag/link/triple phase with per-partition checkpointing, one task per
+    input file; ``concurrency`` caps the concurrent tasks. ``max_partitions``
     exists for the kill/resume test (process only the first k partitions)."""
     cfg = cfg or KGConfig()
     files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "part-*.parquet")))
@@ -147,14 +152,11 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
     skipped = len(files) - len(tasks)
     if tasks:
-        actors, cpus_per_actor = actor_pool(concurrency, max_actors=len(tasks))
-        (ray.data.from_items(tasks)
-            .map_batches(PartitionWorker,
-                         fn_constructor_kwargs=dict(cfg=cfg, fixture_dir=fixture_dir,
-                                                    out_dir=out_dir,
-                                                    batch_size=cfg.batch_size),
-                         batch_size=1, concurrency=actors,
-                         num_cpus=cpus_per_actor)
+        (ray.data.from_items(tasks, override_num_blocks=len(tasks))
+            .map_batches(per_process(PartitionWorker, cfg=cfg,
+                                     fixture_dir=fixture_dir, out_dir=out_dir,
+                                     batch_size=cfg.batch_size),
+                         batch_size=1, concurrency=concurrency)
             .materialize())
 
     done = completed_partitions(out_dir)

@@ -2,9 +2,10 @@
 
     read_parquet(pages)                           [driver plans blocks]
       → map_batches(extract_text_batch)           [stateless; byte-identity invariant]
-      → map_batches(TagDocs, concurrency=N, ...)  [ONE actor pool: clean→tag→validate→
-                                                   coalesce→groups→triples→link per doc;
-                                                   model + alias dict load once per actor]
+      → map_batches(per_process(TagDocs, ...))    [ONE kernel: clean→tag→validate→
+                                                   coalesce→groups→triples→link per doc,
+                                                   run as tasks; model + alias dict load
+                                                   once per worker process]
       → kg_tables(docs)                           [the graph builder below]
 
 ``kg_tables`` is the only graph builder. The streaming runner feeds it the
@@ -53,6 +54,7 @@ from ..stages.canonicalize import (LSH_BANDS, bucket_pairs, canonical_id,
                                    finalize_node_group, lsh_band_arrays,
                                    partial_node_counts)
 from ..stages.extract import extract_text_batch
+from ..stages.kernel import per_process
 from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
 
 
@@ -73,21 +75,6 @@ def _cluster_cpus() -> int:
         return int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         return 4
-
-
-def actor_pool(concurrency: int | None = None,
-                max_actors: int | None = None) -> tuple[int, float]:
-    """(actors, CPUs per actor) of a one-actor-per-core pool: ``concurrency``
-    actors, default the cluster's CPUs less two for the read/extract/write
-    tasks around the pool (4 CPUs → 2 actors × 1 CPU), at most
-    ``max_actors``. The pool never reserves more than CPUs - 1, or the tasks
-    feeding it starve and the run hangs: on 2 CPUs it is 1 actor × 1 CPU, on
-    1 CPU 1 actor × 0 CPUs that shares the core with them."""
-    cpus = _cluster_cpus()
-    actors = concurrency or max(1, cpus - 2)
-    if max_actors is not None:
-        actors = min(actors, max_actors)
-    return actors, min(1.0, max(0, cpus - 1) / actors)
 
 
 def _compact_small() -> int:
@@ -118,24 +105,24 @@ def _bucket_hash(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
 
 
 def _read_blocks() -> int:
-    """Read blocks = an EXACT MULTIPLE of the tag-actor-pool size, ≥48.
+    """Read blocks = an EXACT MULTIPLE of the cluster's CPUs, ≥48.
 
-    The tag stage executes in waves of pool-size tasks; a non-multiple block
-    count leaves the last wave partially filled — measured at sf0.4/32cpu
-    (30 actors), 48 blocks meant wave 2 ran 18/30 actors, idling 20% of
-    pool-seconds, a cost that hits ONLY the wide leg (at 8 CPUs / 6 actors 48
-    is already a multiple) and so directly depresses scaling efficiency.
+    The extract → tag stage runs in waves of up to one task per CPU; a
+    non-multiple block count leaves the last wave partially filled —
+    measured at sf0.4/32cpu with a 30-wide tag stage, 48 blocks meant wave 2
+    ran 18/30 wide, idling 20% of the stage's CPU-seconds, a cost that hits
+    ONLY the wide leg and so directly depresses scaling efficiency.
     The floor (48 blocks, 4 waves) keeps task quanta fine on small clusters;
     the cap bounds the ~20 ms/block driver cost of the downstream executions
     over the materialized docs. The docs dataset is deliberately NEVER
     repartitioned: Ray's shuffle=False repartition funnels all data through a
     single reduce task (measured ~19 s for 2 GB) — a serial,
     data-proportional cost that would cap scaling efficiency."""
-    actors, _ = actor_pool()
-    waves = max(4, -(-48 // actors))      # ≥4 full waves, ≥48 blocks
-    blocks = actors * waves
+    cpus = max(1, _cluster_cpus())
+    waves = max(4, -(-48 // cpus))        # ≥4 full waves, ≥48 blocks
+    blocks = cpus * waves
     if blocks > 256:                      # bound driver per-block cost…
-        blocks = actors * max(1, 256 // actors)   # …but stay a multiple
+        blocks = cpus * max(1, 256 // cpus)   # …but stay a multiple
     return blocks
 
 
@@ -162,24 +149,25 @@ def tag_docs_kwargs(cfg: KGConfig, fixture_dir: str) -> dict:
 def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.data.Dataset:
     """pages → per-doc nested dataset (url, token_count, mentions, groups, triples).
 
-    Tagging and entity linking are FUSED into one actor pool: the alias dictionary
-    is load-once state exactly like the model weights (processor.go:408-436
-    pattern), so mentions/triples leave the pool already linked — one pass over the
-    documents instead of three, no extra actor pools to spin up."""
+    Tagging and entity linking are FUSED into one ``TagDocs`` kernel: the alias
+    dictionary is load-once state exactly like the model weights
+    (processor.go:408-436 pattern), so mentions/triples leave the stage already
+    linked — one pass over the documents instead of three. The kernel runs in
+    Ray Data tasks and is built once per worker process for this call
+    (stages/kernel.py::per_process), so the executor, not a pool reserved per
+    pipeline, owns the CPU slots. ``cfg.tag_concurrency`` caps the concurrent
+    tag tasks; None leaves it to the executor."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
-    # the tagger works on raw bytes (html); drop everything else before the actor
-    # pool so only (url, html) moves through the object store
+    # the tagger works on raw bytes (html); drop everything else before the
+    # tag stage so only (url, html) moves through the object store
     ds = ds.select_columns(["url", "html"])
-    actors, cpus_per_actor = actor_pool(cfg.tag_concurrency)
     return ds.map_batches(
-        TagDocs,
-        fn_constructor_kwargs=tag_docs_kwargs(cfg, fixture_dir),
+        per_process(TagDocs, **tag_docs_kwargs(cfg, fixture_dir)),
         batch_size=cfg.batch_size,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=actors,
-        num_cpus=cpus_per_actor,
+        concurrency=cfg.tag_concurrency,
     )
 
 

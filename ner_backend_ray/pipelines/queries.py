@@ -44,8 +44,10 @@ from ..ops.joins import (_bucket_of, asof_join, bucket_hash_join,
                          range_join)
 from ..ops.textstats import fingerprint_batch, quality_features
 from ..ops.window import session_windows, sliding_window, tumbling_window
+from ..stages.kernel import per_process
 from ..stages.tag import TagDocs, explode_groups, explode_mentions
-from .kg import _edge_buckets, actor_pool, kg_tables, read_pages, tag_pages
+from .kg import (_cluster_cpus, _edge_buckets, kg_tables, read_pages,
+                 tag_pages)
 
 HOUR_US = 3_600_000_000
 GAP_US = 1_800_000_000
@@ -53,10 +55,9 @@ GAP_US = 1_800_000_000
 
 def _tbl(sf_dir: str, name: str, columns: list[str] | None = None,
          num_blocks: int | None = None) -> ray.data.Dataset:
-    """``num_blocks``: pass ≥ the consuming actor-pool size for actor-pool
-    stages — map_batches parallelism is bounded by BLOCK count, and the
-    default planner cuts a small single-file table into a handful of blocks,
-    leaving most of a wide pool idle after paying its startup."""
+    """``num_blocks``: map_batches parallelism is bounded by BLOCK count, and
+    the default planner cuts a small single-file table into a handful of
+    blocks, leaving most of a wide cluster idle."""
     return ray.data.read_parquet(os.path.join(sf_dir, f"{name}.parquet"),
                                  columns=columns,
                                  override_num_blocks=num_blocks)
@@ -379,29 +380,25 @@ _GROUP_QUERIES = {"sparky": "COUNT(SPARKW) > 2",
 
 def _regex_docs(sf_dir: str, stage, as_pages: bool = True,
                 **kwargs) -> ray.data.Dataset:
-    """documents → one actor-pool ``stage`` built on the injectable regex
-    tagger, which compiles once per actor. With ``as_pages`` the stage sees
-    (url = doc_id as a string, text) pages. The pool is sized to the table's
-    volume: no more actors than ``rows / (4 × 256)`` batches keep busy, since
-    pool startup is the whole cost on small inputs (sf0.1, 5k docs: 30
-    actors 3.8-8.5 s, 5 actors 1.0-1.6 s, same output), and never the whole
-    cluster (pipelines/kg.py::actor_pool). The read is cut into 4 waves of
-    the pool, because block count bounds map_batches parallelism."""
+    """documents → ``stage`` built on the injectable regex tagger, run as
+    tasks over a kernel that compiles once per worker process
+    (stages/kernel.py::per_process). With ``as_pages`` the stage sees
+    (url = doc_id as a string, text) pages. The read is cut into one block
+    per 256-row batch, at most 4 waves of the cluster's CPUs, because block
+    count bounds map_batches parallelism."""
     rows = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    actors, cpus = actor_pool(max_actors=max(1, -(-rows // (4 * 256))))
-    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=4 * actors)
+    blocks = max(1, min(4 * _cluster_cpus(), -(-rows // 256)))
+    ds = _tbl(sf_dir, "documents", ["doc_id", "text"], num_blocks=blocks)
     if as_pages:
         ds = ds.map_batches(
             lambda b: pa.table({"url": pc.cast(b["doc_id"], pa.string()),
                                 "text": b["text"]}),
             batch_format="pyarrow")
     return ds.map_batches(
-        stage,
-        fn_constructor_kwargs=dict(model_type="regex",
-                                   model_kwargs={"patterns": _WORD_PATTERNS},
-                                   text_column="text", **kwargs),
-        batch_size=256, batch_format="pyarrow", concurrency=actors,
-        num_cpus=cpus)
+        per_process(stage, model_type="regex",
+                    model_kwargs={"patterns": _WORD_PATTERNS},
+                    text_column="text", **kwargs),
+        batch_size=256, batch_format="pyarrow")
 
 
 def _tag_documents(sf_dir: str) -> ray.data.Dataset:
@@ -490,7 +487,7 @@ def q_preview(sf_dir: str):
 def q_redacted_docs(sf_dir: str):
     """Redaction (internal/chat/session.go:67-107): stable [LABEL_n] placeholders
     per distinct (surface, label); single-surface patterns make it SQL-mirrorable.
-    Actor-pool stage — the tagger compiles once per actor, not once per batch."""
+    The tagger compiles once per worker process, not once per batch."""
     from ..ops.redact import RedactDocs
 
     return _regex_docs(sf_dir, RedactDocs, as_pages=False, id_column="doc_id")

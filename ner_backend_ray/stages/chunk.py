@@ -12,7 +12,8 @@ Ray form:
    split at whitespace boundaries so ``b"".join(chunks) == text`` exactly
    (the reference splits at arbitrary buffer boundaries, which can cut tokens —
    we keep tokens whole, a strict improvement with the same offset contract).
-2. ``PredictChunks`` — actor-pool map_batches: model.predict per chunk, raw
+2. ``PredictChunks`` — task map_batches over a per-process kernel
+   (stages/kernel.py): model.predict per chunk, raw
    entities shifted to document offsets; custom-regex tags per chunk (the
    reference's per-chunk custom tag path, processor.go:615-628).
 3. ``assemble_docs`` — groupby("url").map_groups: reassemble the document text,
@@ -31,6 +32,7 @@ from ..core.coalesce import EXCLUDED_TAGS, coalesce_entities
 from ..core.entity import Entity, to_valid_utf8
 from ..core.inference import count_tokens
 from ..core.validators import filter_entities
+from .kernel import per_process
 
 _WS = b" \t\n\r\x0b\x0c"
 
@@ -90,8 +92,9 @@ RAW_ENTITY_TYPE = pa.struct([
 
 
 class PredictChunks:
-    """Actor: model loads once; per chunk, raw model entities + custom-regex
-    entities with offsets shifted to document coordinates (processor.go:600-628)."""
+    """Kernel: model loads once per worker process (``per_process``); per chunk,
+    raw model entities + custom-regex entities with offsets shifted to document
+    coordinates (processor.go:600-628)."""
 
     def __init__(self, model_type: str = "hash_embedding",
                  model_kwargs: dict | None = None,
@@ -186,18 +189,18 @@ def make_assemble_docs(tags: set[str] | None, custom_names: set[str],
 
 
 def tag_chunked_pages(pages, cfg, max_chunk_bytes: int = 1 << 20,
-                      concurrency: int = 2):
+                      concurrency: int | None = None):
     """pages → per-doc nested dataset via the chunked path (same output contract
-    as tag_pages minus triples/linking, which compose downstream)."""
+    as tag_pages minus triples/linking, which compose downstream).
+    ``concurrency`` caps the concurrent predict tasks."""
     chunks = pages.map_batches(
         lambda b: explode_chunks(b, max_chunk_bytes=max_chunk_bytes),
         batch_format="pyarrow")
     predicted = chunks.map_batches(
-        PredictChunks,
-        fn_constructor_kwargs=dict(model_type=cfg.model_type,
-                                   model_kwargs=cfg.model_kwargs,
-                                   custom_patterns=cfg.custom_patterns),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=1)
+        per_process(PredictChunks, model_type=cfg.model_type,
+                    model_kwargs=cfg.model_kwargs,
+                    custom_patterns=cfg.custom_patterns),
+        batch_format="pyarrow", concurrency=concurrency)
     assemble = make_assemble_docs(
         set(cfg.tags) if cfg.tags is not None else None,
         set(cfg.custom_patterns or ()), cfg.group_queries)

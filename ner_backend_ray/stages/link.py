@@ -2,10 +2,10 @@
 
 No reference analog (SURVEY.md §2.3 T7 — the linking target from the north rule);
 the *pattern* is the reference's model-loading one generalized: the dictionary is
-small-side state loaded once per actor in ``__init__`` (broadcast, not shuffled —
-SURVEY.md §2.4). At 100 TB scale the dictionary is hash-sharded by
+small-side state loaded once per worker process in ``__init__`` (broadcast, not
+shuffled — SURVEY.md §2.4). At 100 TB scale the dictionary is hash-sharded by
 ``hash(surface_form) % P`` (the ``shard`` column written by the fixture builder);
-each actor loads all shards when they fit (fixture case) or the pipeline falls back
+each worker loads all shards when they fit (fixture case) or the pipeline falls back
 to the partitioned hash join in ops/joins.py when they don't.
 
 Key normalization (SURVEY.md §2.8, defined by us): NFC → lower → collapse
@@ -33,7 +33,7 @@ def surface_entity_key(surface: bytes | str) -> str:
 
 
 class AliasDict:
-    """The load-once broadcast dictionary state shared by the link actors."""
+    """The load-once broadcast dictionary state shared by the link kernels."""
 
     def __init__(self, alias_path: str, min_score: float = 0.0):
         import pyarrow.parquet as pq

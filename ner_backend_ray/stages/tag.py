@@ -1,15 +1,16 @@
-"""NER tagging stage — the stateful actor-pool map_batches.
+"""NER tagging stage — the stateful per-doc kernel.
 
 The analog of the reference's per-task inference loop
-(internal/core/processor.go:174-406): the model is loaded ONCE per actor in
-``__init__`` (the reference downloads + loads per task, processor.go:408-436; an
-actor pool amortizes strictly better), then each Arrow batch of pages runs the
-per-document chain (core/inference.py) and emits one row per document with nested
-mentions/groups — downstream stateless stages explode those into flat tables.
+(internal/core/processor.go:174-406): the model is loaded ONCE per worker
+process in ``__init__`` (the reference downloads + loads per task,
+processor.go:408-436; a per-process kernel amortizes strictly better), then
+each Arrow batch of pages runs the per-document chain (core/inference.py) and
+emits one row per document with nested mentions/groups — downstream stateless
+stages explode those into flat tables.
 
-Usage:
-    ds.map_batches(TagDocs, fn_constructor_kwargs=dict(...), concurrency=N,
-                   batch_size=B, batch_format="pyarrow", zero_copy_batch=True)
+Usage (stages/kernel.py builds the kernel once per process for the stage):
+    ds.map_batches(per_process(TagDocs, **kwargs), batch_size=B,
+                   batch_format="pyarrow", zero_copy_batch=True)
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ MENTION_TYPE = pa.struct([
     ("is_custom", pa.bool_()),
 ])
 
-# when TagDocs is given an alias_path the link step is fused into the tag actor
-# (one pool, one pass — the dictionary is load-once state exactly like the model)
+# when TagDocs is given an alias_path the link step is fused into the tag kernel
+# (one stage, one pass — the dictionary is load-once state exactly like the model)
 LINKED_MENTION_TYPE = pa.struct(list(MENTION_TYPE) + [
     ("entity_key", pa.string()), ("candidate_id", pa.string()),
     ("link_score", pa.float64()),
@@ -69,7 +70,7 @@ class TagDocs:
                  emit_triples: bool = True,
                  alias_path: str | None = None,
                  min_link_score: float = 0.0):
-        from ..models import load_tagger  # late import keeps actor pickling light
+        from ..models import load_tagger  # late import keeps kernel pickling light
         self.model = load_tagger(model_type, **(model_kwargs or {}))
         self.tags = set(tags) if tags is not None else None
         self.custom = {name: re.compile(p.encode("utf-8") if isinstance(p, str) else p)

@@ -122,10 +122,10 @@ def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path
         assert streamed.equals(written), name
 
 
-_ONE_CPU_RUN = """
+_SMALL_SESSION_RUN = """
 import json, os, sys, tempfile
 import duckdb, pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
-ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.init(num_cpus=int(sys.argv[2]), include_dashboard=False, logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
 from ner_backend_ray.fixtures.pages import generate_pages
 from ner_backend_ray.oracle import KGConfig, run_oracle
@@ -151,7 +151,7 @@ run_kg_checkpointed(fx, out, KGConfig())
 ok.update({f"ckpt_{n}": same(n, pq.read_table(os.path.join(out, "graph", n)))
            for n in cols})
 
-# the operator queries' regex tag pool, against its oracle SQL
+# the operator queries' regex tag stage, against its oracle SQL
 from ner_backend_ray.pipelines.queries import (ORACLE_SQL, _collect_table,
                                                q_regex_mention_runs)
 sf_dir = sys.argv[1]
@@ -166,11 +166,12 @@ ray.shutdown()
 """
 
 
-def test_both_runners_finish_on_one_cpu(tiny_fixture):
-    """A 1-CPU session must not starve the read tasks upstream of a tag
-    pool: both KG runners finish with nodes/edges equal to the oracle, and
-    the operator queries' regex tag pool (regex_mention_runs) equals its
-    oracle SQL."""
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_both_runners_finish_on_few_cpus(tiny_fixture, num_cpus):
+    """A 1- or 2-CPU session must not starve the read tasks upstream of the
+    tag stage: both KG runners finish with nodes/edges equal to the oracle,
+    and the operator queries' regex tag stage (regex_mention_runs) equals
+    its oracle SQL."""
     import json
     import subprocess
     import sys
@@ -178,7 +179,8 @@ def test_both_runners_finish_on_one_cpu(tiny_fixture):
     from test_ops import SF_DIR
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_RUN, SF_DIR],
+    proc = subprocess.run([sys.executable, "-c", _SMALL_SESSION_RUN, SF_DIR,
+                           str(num_cpus)],
                           cwd=root,
                           env={**os.environ, "PYTHONPATH": root},
                           capture_output=True, text=True, timeout=600)
@@ -187,6 +189,120 @@ def test_both_runners_finish_on_one_cpu(tiny_fixture):
     assert ok == {k: True for k in ("stream_nodes", "stream_edges",
                                     "ckpt_nodes", "ckpt_edges",
                                     "regex_mention_runs")}, ok
+
+
+def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
+    """Two tag_pages runs in one session over the same fixture path, with
+    alias_dict.parquet rewritten between them so that one surface links to
+    another entity: each run's linked keys follow its own dictionary, so no
+    kernel outlives the pipeline that built it."""
+    import pyarrow.compute as pc
+
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.kg import read_pages, tag_pages
+    from ner_backend_ray.stages.tag import explode_mentions
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    alias_path = os.path.join(fx, "alias_dict.parquet")
+    # small batches: many tag tasks per run, so the second run's tasks land
+    # on worker processes that ran the first run's kernel
+    cfg = KGConfig(tag_concurrency=2, batch_size=8)
+
+    def linked() -> dict:
+        """(url, start, end) → entity_key of every mention."""
+        m = explode_mentions(_collect(tag_pages(read_pages(fx), cfg, fx)))
+        return dict(zip(zip(*[m[c].to_pylist() for c in ("url", "start", "end")]),
+                        m["entity_key"].to_pylist()))
+
+    before = linked()
+    aliases = pq.read_table(alias_path)
+    old_id = next(k for k in before.values() if not k.startswith("surf:"))
+    rows = pc.equal(aliases["entity_id"], old_id)
+    aliases = aliases.set_column(
+        aliases.schema.get_field_index("entity_id"), "entity_id",
+        pc.if_else(rows, pa.scalar("E_REWRITTEN"), aliases["entity_id"]))
+    pq.write_table(aliases, alias_path)
+    after = linked()
+
+    assert before.keys() == after.keys()
+    moved = {p for p, k in before.items() if k == old_id}
+    assert moved
+    assert all(after[p] == "E_REWRITTEN" for p in moved)
+    assert all(after[p] == before[p] for p in before.keys() - moved)
+
+
+_CRASH_ONCE_MODULE = """
+import os
+from ner_backend_ray.stages.tag import TagDocs
+
+MARKER = {marker!r}
+
+
+class CrashOnceTagDocs(TagDocs):
+    \"\"\"TagDocs whose first call in the session kills its worker process.\"\"\"
+
+    def __call__(self, batch):
+        try:
+            os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return super().__call__(batch)
+        os._exit(1)
+"""
+
+_CRASH_RUN = """
+import json, os, sys
+import pyarrow as pa, ray, ray.data
+ray.init(num_cpus=2, include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from crash_once import MARKER, CrashOnceTagDocs
+from ner_backend_ray.oracle import KGConfig
+from ner_backend_ray.pipelines import kg
+
+fx = sys.argv[1]
+
+def docs():
+    ds = kg.tag_pages(kg.read_pages(fx), KGConfig(), fx)
+    t = pa.concat_tables(list(ds.iter_batches(batch_size=None,
+                                              batch_format="pyarrow")))
+    return t.sort_by("url").combine_chunks()
+
+def ipc_bytes(t):
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+want = docs()
+kg.TagDocs = CrashOnceTagDocs
+got = docs()
+print(json.dumps({"crashed": os.path.exists(MARKER), "rows": got.num_rows,
+                  "same_bytes": ipc_bytes(got) == ipc_bytes(want)}))
+ray.shutdown()
+"""
+
+
+def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
+    """A worker dies in the middle of a tag task: the task is retried on a
+    fresh worker, which builds its own kernel, and the docs equal an
+    uncrashed tag_pages run."""
+    import json
+    import subprocess
+    import sys
+
+    marker = str(tmp_path / "crashed")
+    (tmp_path / "crash_once.py").write_text(
+        _CRASH_ONCE_MODULE.format(marker=marker))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", _CRASH_RUN, tiny_fixture],
+                          cwd=root,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join([root, str(tmp_path)])},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    ok = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert ok["crashed"] and ok["rows"] > 0 and ok["same_bytes"], ok
+
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
     from ner_backend_ray.stages.extract import extract_text_batch
