@@ -131,9 +131,9 @@ def run_oracle(fixture_dir: str, cfg: KGConfig | None = None) -> dict[str, pa.Ta
     def canon(key: str) -> str:
         return canonical_id(root_map.get(key, key))
 
-    # two-level label election matching the distributed stage exactly: elect a label
-    # per entity_key first (finalize_node_group), then per canonical cluster
-    # (merge_node_group) weighted by each key's mention count.
+    # two-level label election matching the distributed node merge
+    # (pipelines/kg.py _merge_node_block) exactly: elect a label per entity_key
+    # first, then per canonical cluster weighted by each key's mention count.
     node_agg: dict[str, dict] = {}
     for key, nc in node_counts.items():
         cid = canon(key)

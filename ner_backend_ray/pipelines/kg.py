@@ -23,17 +23,21 @@ are done:
     groups     parts → (url, group_name)
     root_map   parts → MinHash-LSH root map: a broadcast dict under the
                        budget, a (node, root) star-forest Dataset above it
-    nodes_pre  parts → one row per entity key
-    edges_raw  parts → edge partials summed per raw key triple
-    keyed      nodes_pre + root_map → entity rows with canonical_id
-    key_map    keyed → (entity_key, canonical_id), the oracle export
-    nodes      keyed → sorted, merged nodes
-    edges      edges_raw + root_map → sorted, merged edges
+    nodes_pre  parts + root_map → node partials with canonical_id, sorted
+                       by canonical_id
+    key_map    nodes_pre → (entity_key, canonical_id), the oracle export
+    nodes      nodes_pre → one merged node per canonical_id run
+    edges      parts + root_map → edge partials over canonical ids, sorted
+                       and merged per (subj_id, pred, obj_id) run
 
 Roots reach the one node kernel and the one edge kernel either as the
-broadcast dict or as star-join columns. The only shuffles are the partials
-compaction, the groupbys over the compacted partials, the two output sorts
-and, above the broadcast budget, the star-forest joins.
+broadcast dict or as star-join columns. The graph phase has four shuffles:
+the partials compaction, the root-map groupby and the two output sorts
+(plus, above the broadcast budget, the star-forest joins). Each output is
+aggregated once, by the sort that orders it: ``entity_key → canonical_id``
+is a function, so a canonical_id range partition holds whole entity-key
+runs and needs no per-key pre-aggregation (eager/lazy aggregation, Yan &
+Larson, VLDB 1995).
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ import ray.data
 
 from ..oracle import KGConfig
 from ..stages.canonicalize import (LSH_BANDS, bucket_pairs, canonical_id,
-                                   finalize_node_group, lsh_band_arrays,
-                                   partial_node_counts)
+                                   lsh_band_arrays, partial_node_counts)
 from ..stages.extract import extract_text_batch
 from ..stages.kernel import per_process
 from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
@@ -78,30 +81,20 @@ def _cluster_cpus() -> int:
 
 
 def _compact_small() -> int:
-    """Block target for compacting SMALL derived row-sets (LSH band rows,
-    grouped partials) before a sort shuffle: tracks cluster width so reduce
-    parallelism grows with the cluster instead of pinning at this sandbox's
+    """Block target for compacting the combined partials (a SMALL derived
+    row-set) before the graph phase's groupby and sorts: tracks cluster width
+    so reduce parallelism grows with the cluster instead of pinning at a
     tuned constant, floored at the measured-good single-node value."""
     return max(8, _cluster_cpus() // 4)
 
 
 def _edge_buckets() -> int:
-    """Edge-dedup reduce width: tracks cluster size (2 buckets per core,
-    floored at the measured-good single-node value) instead of the fixed
-    ``& 63`` mask the round-3 verdict flagged — a 64-way reduce caps the
-    final edge aggregation at 64 tasks on a 4000-core cluster, and a skewed
-    predicate distribution makes the cap worse."""
+    """Reduce width of a bucketed int64-key aggregate: tracks cluster size
+    (2 buckets per core, floored at the measured-good single-node value)
+    instead of a fixed ``& 63`` mask — a 64-way reduce caps the final
+    aggregation at 64 tasks on a 4000-core cluster, and a skewed key
+    distribution makes the cap worse."""
     return max(64, 2 * _cluster_cpus())
-
-
-def _bucket_hash(col: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
-    """Vectorized int64 bucket of a string key column (SipHash via pandas —
-    fixed key, deterministic across worker processes; no per-row Python)."""
-    import pandas as pd
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    h = pd.util.hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
-    return pa.array((h % n_buckets).astype("int64"))
 
 
 def _read_blocks() -> int:
@@ -221,18 +214,14 @@ def canonicalize_edge_partials(batch: pa.Table, root_map=None) -> pa.Table:
     exact merge happens per sort partition (``_merge_edge_block``). Roots
     as in :func:`canonicalize_nodes`."""
     rm = _resolved(root_map)
-    return _sum_weights(pa.table({
+    by = ["subj_id", "pred", "obj_id"]
+    return pa.table({
         "subj_id": _canonical(batch, "subj_key", rm),
         "pred": batch["pred"],
         "obj_id": _canonical(batch, "obj_key", rm),
         "partial_weight": batch["partial_weight"],
-    }), ["subj_id", "pred", "obj_id"])
-
-
-def _sum_weights(t: pa.Table, by: list[str]) -> pa.Table:
-    """``partial_weight`` summed per distinct ``by`` key."""
-    agg = t.group_by(by).aggregate([("partial_weight", "sum")])
-    return agg.rename_columns(by + ["partial_weight"])
+    }).group_by(by).aggregate([("partial_weight", "sum")]).rename_columns(
+        by + ["partial_weight"])
 
 
 def _join_star_roots(ds: ray.data.Dataset, key_col: str,
@@ -249,17 +238,22 @@ def _join_star_roots(ds: ray.data.Dataset, key_col: str,
                             n_buckets=max(16, _cluster_cpus()), how="left")
 
 
-def _rooted(ds: ray.data.Dataset, kernel, roots,
-            keys: list[str]) -> ray.data.Dataset:
-    """``kernel`` over ``ds`` with the roots of its ``keys`` columns: ``roots``
-    is the star-forest Dataset (joined in as columns) or the broadcast dict's
-    ObjectRef (passed to the kernel)."""
+def _rooted(parts: ray.data.Dataset, kind: int, cols: list[str], kernel,
+            roots, keys: list[str]) -> ray.data.Dataset:
+    """``kernel`` over the ``kind`` rows (``cols``) of ``parts`` with the
+    roots of their ``keys`` columns: ``roots`` is the star-forest Dataset
+    (joined in as columns) or the broadcast dict's ObjectRef (passed to the
+    kernel). On the broadcast path the row filter and the kernel are ONE
+    function: as two fused map functions, the kernel never sees a block the
+    filter emptied, and its task emits a schema-less block in its place."""
     if isinstance(roots, ray.data.Dataset):
+        ds = _of_kind(parts, kind, cols)
         for key in keys:
             ds = _join_star_roots(ds, key, roots)
         return ds.map_batches(kernel, batch_format="pyarrow")
-    return ds.map_batches(kernel, batch_format="pyarrow",
-                          fn_kwargs={"root_map": roots})
+    return parts.map_batches(
+        lambda b, root_map: kernel(_kind_rows(b, kind, cols), root_map),
+        batch_format="pyarrow", fn_kwargs={"root_map": roots})
 
 
 # ---------------------------------------------------------------------------
@@ -283,48 +277,42 @@ def _band_rows(batch: pa.Table) -> pa.Table:
                      "band_hash": pa.array(hashes.ravel(), pa.int64())})
 
 
-def _raw_edge_partials(batch: pa.Table, n_buckets: int) -> pa.Table:
-    """Fused explode+combiner over RAW entity keys — needs no broadcast state,
-    so the big edge aggregation starts at phase start instead of waiting on
-    the root map (which was the graph-phase critical path: measured 16.0 s
-    edges completion vs 7.6 s root-map at sf0.4/32cpu). The canonical-root
-    mapping is applied AFTER aggregation, to the small distinct-edge table.
-    Bucketing: int64 hash of the raw key triple — Ray's sort-based aggregate
-    on multi-string keys is ~10k rows/s/core (measured); sorting an int64
-    bucket and doing the real aggregation with Arrow's C group_by inside each
-    bucket is ~100×. Only (bucket, keys, partial weight) rows shuffle."""
+def _raw_edge_partials(batch: pa.Table) -> pa.Table:
+    """Fused explode+combiner over RAW entity keys: one row per distinct
+    (subj_key, pred, obj_key) of the batch with its count. It needs no
+    broadcast state, so it runs in the partials scan; the canonical-root
+    mapping and the local re-aggregation come later, per block of these
+    partials (``canonicalize_edge_partials``), and the exact merge per
+    partition of the edge sort. Only (keys, partial weight) rows shuffle."""
     t = explode_triples(batch).select(["subj_key", "pred", "obj_key"])
-    raw = t.group_by(["subj_key", "pred", "obj_key"]).aggregate(
+    return t.group_by(["subj_key", "pred", "obj_key"]).aggregate(
         [([], "count_all")]).rename_columns(
         ["subj_key", "pred", "obj_key", "partial_weight"])
-    key = pc.binary_join_element_wise(
-        raw["subj_key"], raw["pred"], raw["obj_key"], "\x1f")
-    return raw.add_column(0, "bucket", _bucket_hash(key, n_buckets))
 
 
 _UNION_FIELDS = [
     ("kind", pa.int8()), ("entity_key", pa.string()),
     ("band", pa.int32()), ("band_hash", pa.int64()),
     ("label", pa.string()), ("surface", pa.string()),
-    ("partial_count", pa.int64()), ("bucket", pa.int64()),
+    ("partial_count", pa.int64()),
     ("subj_key", pa.string()), ("pred", pa.string()),
     ("obj_key", pa.string()), ("partial_weight", pa.int64()),
     ("url", pa.string()), ("group_name", pa.string()),
 ]
 
 
-def combined_partials(batch: pa.Table, n_edge_buckets: int) -> pa.Table:
+def combined_partials(batch: pa.Table) -> pa.Table:
     """The three combiner chains (LSH band rows, node partials, raw edge
     partials) plus the group rows as ONE scan of docs emitting a
     discriminated union (kind + null-padded columns). Three separate scans
     meant three streaming executors contending for the driver GIL and
-    re-reading every block; the per-kind groupbys run over the compacted,
-    materialized union instead (a handful of blocks), so their driver cost
-    does not track the docs block count."""
+    re-reading every block; the root-map groupby and the two output sorts
+    run over the compacted, materialized union instead (a handful of
+    blocks), so their driver cost does not track the docs block count."""
     outs = []
     for kind, t in ((0, _band_rows(batch)),
                     (1, partial_node_counts(explode_mentions(batch))),
-                    (2, _raw_edge_partials(batch, n_edge_buckets)),
+                    (2, _raw_edge_partials(batch)),
                     (3, explode_groups(batch))):
         n = t.num_rows
         cols = {}
@@ -339,10 +327,13 @@ def combined_partials(batch: pa.Table, n_edge_buckets: int) -> pa.Table:
     return pa.concat_tables(outs)
 
 
+def _kind_rows(batch: pa.Table, kind: int, cols: list[str]) -> pa.Table:
+    return batch.filter(pc.equal(batch["kind"], kind)).select(cols)
+
+
 def _of_kind(parts: ray.data.Dataset, kind: int, cols: list[str]) -> ray.data.Dataset:
-    return parts.map_batches(
-        lambda b: b.filter(pc.equal(b["kind"], kind)).select(cols),
-        batch_format="pyarrow")
+    return parts.map_batches(lambda b: _kind_rows(b, kind, cols),
+                             batch_format="pyarrow")
 
 
 def _root_map(parts: ray.data.Dataset):
@@ -368,51 +359,79 @@ _NODE_SCHEMA = pa.schema([("canonical_id", pa.string()),
                           ("mention_count", pa.int64())])
 
 
+def _run_starts(t: pa.Table, keys: list[str]) -> pa.Array:
+    """Mask of the rows of ``t`` (sorted on ``keys``) that start a run."""
+    first = np.zeros(t.num_rows, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        v = t[key].to_numpy(zero_copy_only=False)
+        first[1:] |= v[1:] != v[:-1]
+    return pa.array(first)
+
+
 def _merge_node_block(block: pa.Table) -> pa.Table:
-    """Vectorized node merge over one sort partition (whole canonical_id runs
-    — Ray's range partitioner sends equal keys to one partition, so a block
-    holds complete groups). Replaces groupby().map_groups(_merge_node_group),
-    whose per-GROUP Python dispatch is O(distinct entities) interpreter work —
-    the graph tail's hot spot. Semantics are identical: label election by
-    (count desc, label asc), sorted distinct surface union, count sum."""
+    """Node partials (entity_key, label, surface, partial_count,
+    canonical_id) of one canonical_id sort partition → one node per
+    canonical_id. Ray's range partitioner sends equal keys to one partition,
+    so a block holds whole canonical_id runs, and with them whole entity-key
+    runs (``entity_key → canonical_id`` is a function). All vectorized Arrow
+    kernels, no per-group Python dispatch.
+
+    The label election is two-level, as the oracle defines it: each entity
+    key elects its label by (count desc, label asc), then each canonical_id
+    elects among its keys' labels, each weighted by its key's total count,
+    by the same order. ``surface_forms`` is the sorted distinct union of the
+    surfaces; ``mention_count`` the sum of the partial counts."""
     if block.num_rows == 0:
         return _NODE_SCHEMA.empty_table()
-    lab = (block.select(["canonical_id", "label", "mention_count"])
-           .group_by(["canonical_id", "label"])
-           .aggregate([("mention_count", "sum")])
-           .sort_by([("canonical_id", "ascending"),
-                     ("mention_count_sum", "descending"),
-                     ("label", "ascending")]))
-    cids = lab["canonical_id"].to_numpy(zero_copy_only=False)
-    first = np.ones(len(cids), dtype=bool)
-    first[1:] = cids[1:] != cids[:-1]
-    winners = lab.filter(pa.array(first))
+    ck = ["canonical_id", "entity_key"]
+    by_label = (block.group_by(ck + ["label"])
+                .aggregate([("partial_count", "sum")])
+                .sort_by([("canonical_id", "ascending"),
+                          ("entity_key", "ascending"),
+                          ("partial_count_sum", "descending"),
+                          ("label", "ascending")]))
+    key_label = by_label.filter(_run_starts(by_label, ck))
+    key_total = (by_label.group_by(ck).aggregate([("partial_count_sum", "sum")])
+                 .sort_by([(c, "ascending") for c in ck]))
+    # key_label and key_total share the sorted distinct (canonical_id, key) axis
+    votes = (pa.table({"canonical_id": key_label["canonical_id"],
+                       "label": key_label["label"],
+                       "weight": key_total["partial_count_sum_sum"]})
+             .group_by(["canonical_id", "label"]).aggregate([("weight", "sum")])
+             .sort_by([("canonical_id", "ascending"),
+                       ("weight_sum", "descending"),
+                       ("label", "ascending")]))
+    winners = votes.filter(_run_starts(votes, ["canonical_id"]))
     totals = (block.group_by(["canonical_id"])
-              .aggregate([("mention_count", "sum")]).sort_by("canonical_id"))
-    sf = block["surface_forms"].combine_chunks()
-    lens = pc.list_value_length(sf).fill_null(0).to_numpy(zero_copy_only=False)
-    idx = np.repeat(np.arange(block.num_rows, dtype=np.int32),
-                    lens.astype(np.int32))
-    flat = pa.table({"canonical_id": pc.take(block["canonical_id"],
-                                             pa.array(idx)),
-                     "surface": pc.list_flatten(sf)})
-    dist = (flat.group_by(["canonical_id", "surface"])
-            .aggregate([([], "count_all")])
-            .sort_by([("canonical_id", "ascending"),
-                      ("surface", "ascending")]))
-    dc = dist["canonical_id"].to_numpy(zero_copy_only=False)
-    newg = np.ones(len(dc), dtype=bool)
-    newg[1:] = dc[1:] != dc[:-1]
-    offsets = np.append(np.flatnonzero(newg), len(dc)).astype(np.int32)
+              .aggregate([("partial_count", "sum")]).sort_by("canonical_id"))
+    dist = (block.group_by(["canonical_id", "surface"]).aggregate([])
+            .sort_by([("canonical_id", "ascending"), ("surface", "ascending")]))
+    starts = np.flatnonzero(_run_starts(dist, ["canonical_id"]).to_numpy(
+        zero_copy_only=False))
+    offsets = np.append(starts, dist.num_rows).astype(np.int32)
     lists = pa.ListArray.from_arrays(pa.array(offsets),
                                      dist["surface"].combine_chunks())
-    # winners / totals / dist runs share the same sorted distinct-cid axis
+    # winners / totals / surface runs share the sorted distinct-cid axis
     return pa.table({
         "canonical_id": winners["canonical_id"],
         "surface_forms": lists,
         "label": winners["label"],
-        "mention_count": totals["mention_count_sum"],
+        "mention_count": totals["partial_count_sum"],
     }).cast(_NODE_SCHEMA)
+
+
+_KEY_MAP_SCHEMA = pa.schema([("entity_key", pa.string()),
+                             ("canonical_id", pa.string())])
+
+
+def _key_pairs(block: pa.Table) -> pa.Table:
+    """Distinct (entity_key, canonical_id) of one canonical_id sort
+    partition: one row per key, since a key never spans two partitions."""
+    return (block.select(_KEY_MAP_SCHEMA.names).group_by(_KEY_MAP_SCHEMA.names)
+            .aggregate([]).sort_by([("canonical_id", "ascending"),
+                                    ("entity_key", "ascending")])
+            .cast(_KEY_MAP_SCHEMA))
 
 
 _EDGE_SCHEMA = pa.schema([("subj_id", pa.string()), ("pred", pa.string()),
@@ -483,22 +502,21 @@ def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
     run on two lanes: the docs scans, each materializing a multi-GB output on
     a big corpus, on the "scan" lane (``parts`` first, since nodes and edges
     wait on it), and the small chains over the compacted partials on the
-    "chain" lane, always overlapped. Every shuffle input is
-    block-count-bounded and all combiner partials are vectorized Arrow
-    kernels.
+    "chain" lane, always overlapped. The graph phase has four shuffles:
+    the ``parts`` compaction, the root-map groupby, and one sort per output,
+    which both groups it (equal keys share a partition) and orders it. Every
+    shuffle input is block-count-bounded and all combiner partials are
+    vectorized Arrow kernels.
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""
-    # computed ONCE on the driver so every batch agrees on the width
-    n_edge_buckets = _edge_buckets()
     # sort's range partitioner never splits equal keys, so each block holds
     # complete canonical_id (triple-key) groups and the merge is one
     # vectorized Arrow kernel per block — no per-group Python dispatch; the
     # output stays globally key-ordered (tests/test_pipeline_ray.py asserts it)
     stages = {
         "parts": ((), "scan", lambda: (
-            docs.map_batches(combined_partials, batch_format="pyarrow",
-                             fn_kwargs={"n_edge_buckets": n_edge_buckets})
+            docs.map_batches(combined_partials, batch_format="pyarrow")
             .repartition(_compact_small()).materialize())),
         "mentions": ((), "scan", lambda: (
             docs.map_batches(explode_mentions, batch_format="pyarrow")
@@ -509,33 +527,19 @@ def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
         "groups": (("parts",), "chain", lambda parts: (
             _of_kind(parts, 3, ["url", "group_name"]).materialize())),
         "root_map": (("parts",), "chain", _root_map),
-        "nodes_pre": (("parts",), "chain", lambda parts: (
-            _of_kind(parts, 1, ["entity_key", "label", "surface", "partial_count"])
-            .groupby("entity_key")
-            .map_groups(finalize_node_group, batch_format="pyarrow")
-            .materialize())),
-        "edges_raw": (("parts",), "chain", lambda parts: (
-            _of_kind(parts, 2, ["bucket", "subj_key", "pred", "obj_key",
-                                "partial_weight"])
-            .groupby("bucket")
-            .map_groups(_sum_weights, batch_format="pyarrow",
-                        fn_kwargs={"by": ["subj_key", "pred", "obj_key"]})
-            .materialize())),
-        "keyed": (("nodes_pre", "root_map"), "chain", lambda nodes_pre, roots: (
-            _rooted(nodes_pre, canonicalize_nodes, roots, ["entity_key"]))),
-        "key_map": (("keyed",), "chain", lambda keyed: (
-            keyed.select_columns(["entity_key", "canonical_id"]))),
-        "nodes": (("keyed",), "chain", lambda keyed: (
-            keyed.sort("canonical_id")
-            .map_batches(_merge_node_block, batch_format="pyarrow",
-                         batch_size=None)
-            .materialize())),
-        # ONE AllToAll: the triple sort both groups (equal keys share a
-        # partition) and orders the artifact
-        "edges": (("edges_raw", "root_map"), "chain", lambda raw, roots: (
-            _rooted(raw, canonicalize_edge_partials, roots,
-                    ["subj_key", "obj_key"])
-            .repartition(_compact_small())
+        "nodes_pre": (("parts", "root_map"), "chain", lambda parts, roots: (
+            _rooted(parts, 1, ["entity_key", "label", "surface", "partial_count"],
+                    canonicalize_nodes, roots, ["entity_key"])
+            .sort("canonical_id").materialize())),
+        "key_map": (("nodes_pre",), "chain", lambda pre: (
+            pre.map_batches(_key_pairs, batch_format="pyarrow",
+                            batch_size=None))),
+        "nodes": (("nodes_pre",), "chain", lambda pre: (
+            pre.map_batches(_merge_node_block, batch_format="pyarrow",
+                            batch_size=None).materialize())),
+        "edges": (("parts", "root_map"), "chain", lambda parts, roots: (
+            _rooted(parts, 2, ["subj_key", "pred", "obj_key", "partial_weight"],
+                    canonicalize_edge_partials, roots, ["subj_key", "obj_key"])
             .sort(["subj_id", "pred", "obj_id"])
             .map_batches(_merge_edge_block, batch_format="pyarrow",
                          batch_size=None)

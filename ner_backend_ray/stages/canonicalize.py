@@ -1,4 +1,4 @@
-"""Canonicalization: salted groupby-aggregate on entity keys + MinHash alias
+"""Canonicalization: combiner partials on entity keys + MinHash alias
 clustering, then node/edge materialization.
 
 North-rule stage (SURVEY.md §2.5 A9, §2.7 D4/D5; no reference analog). Design:
@@ -6,8 +6,12 @@ North-rule stage (SURVEY.md §2.5 A9, §2.7 D4/D5; no reference analog). Design:
 1. **Node aggregation** is a two-phase (combiner) aggregate: ``map_batches`` first
    reduces each Arrow batch to distinct (entity_key, label, surface, partial_count)
    rows — this is the implicit salt: a hot key contributes at most one row per
-   (batch, surface), so the subsequent ``groupby("entity_key")`` shuffle moves
-   partials, not mentions. Head-domain / high-frequency-entity skew therefore never
+   (batch, label, surface), so the one shuffle that follows moves partials, not
+   mentions. That shuffle is the ``canonical_id`` sort of the nodes output: the
+   partials get their canonical id first, and since ``entity_key → canonical_id``
+   is a function, each sort partition holds whole key runs and is merged in one
+   vectorized kernel (pipelines/kg.py ``_merge_node_block``, with the two-level
+   label election). Head-domain / high-frequency-entity skew therefore never
    concentrates raw mention rows on one reducer.
 2. **MinHash-LSH alias clustering** merges near-duplicate *unlinked* surface keys:
    char-3-gram shingles → k=32 minhashes (the shared multiply-shift kernel from
@@ -17,10 +21,12 @@ North-rule stage (SURVEY.md §2.5 A9, §2.7 D4/D5; no reference analog). Design:
    keys that actually cluster) is small and is broadcast, not joined.
 3. **canonical_id** = "e:" + blake2b(root_key)[:16], so ids are a pure function of
    cluster membership (deterministic across runs and partitionings).
-4. **Edges**: triples → (subj_id, pred, obj_id) via the broadcast mapping →
-   per-batch partial counts (combiner again) → ``groupby`` sum → weight.
+4. **Edges**: triples → raw-key partial counts per batch (combiner again) →
+   (subj_id, pred, obj_id) via the root mapping, re-aggregated per block →
+   one sort on the triple key, summed per sort partition → weight.
 
-Outputs are sorted by canonical id (global shuffle sort) before write.
+Outputs are sorted by canonical id (global shuffle sort), the sort that also
+groups them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..ops.dedup import band_hashes_from_sigs, minhash_sigs_batch
 
@@ -97,26 +102,6 @@ def partial_node_counts(batch: pa.Table) -> pa.Table:
                   "surface": batch["text"]})
     agg = t.group_by(["entity_key", "label", "surface"]).aggregate([([], "count_all")])
     return agg.rename_columns(["entity_key", "label", "surface", "partial_count"])
-
-
-def finalize_node_group(group: pa.Table) -> pa.Table:
-    """map_groups over entity_key: elect label by count, collect surface forms."""
-    key = group["entity_key"][0].as_py()
-    total = int(pc.sum(group["partial_count"]).as_py())
-    label_counts: dict[str, int] = {}
-    surfaces: set[str] = set()
-    for label, surface, cnt in zip(group["label"].to_pylist(),
-                                   group["surface"].to_pylist(),
-                                   group["partial_count"].to_pylist()):
-        label_counts[label] = label_counts.get(label, 0) + cnt
-        surfaces.add(surface)
-    label = max(sorted(label_counts), key=lambda x: label_counts[x])
-    return pa.table({
-        "entity_key": pa.array([key], pa.string()),
-        "label": pa.array([label], pa.string()),
-        "surface_forms": pa.array([sorted(surfaces)], pa.list_(pa.string())),
-        "mention_count": pa.array([total], pa.int64()),
-    })
 
 
 def bucket_pairs(group: pa.Table) -> pa.Table:
