@@ -5,10 +5,6 @@ Default: times the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS
 [default 32]). The KG flagship runs over the deterministic pages fixture at the
 matching scale factor (synthesized and cached under /tmp).
-
---scaling: runs the KG flagship twice in FRESH processes (num_cpus=8 then 32) on
-the SAME input — the sandbox stand-in for N vs 4N nodes — and reports both
-throughputs plus scaling efficiency = T8 / (4 * T32).
 """
 
 from __future__ import annotations
@@ -16,17 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
-import sys
 import time
 
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 DEFAULT_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-# compute-dominated input so efficiency measures the pipeline, not fixed
-# driver costs; 0.8 (the configuration of the passing batch-F measurement,
-# BASELINE.md) amortizes the per-run constant over ~170 s narrow legs
-# (GRAFT_SCALING_SF to override)
-SCALING_SF = float(os.environ.get("GRAFT_SCALING_SF", "0.8"))
 
 BENCH_QUERIES = [
     "dedup_exact", "minhash_neardups", "quality_filter", "regex_mention_runs",
@@ -60,32 +49,30 @@ def _consume(result) -> int:
 
 def _warmup():
     """Spin up the worker pool so cluster cold-start isn't attributed to the
-    first timed pipeline (both scaling runs warm identically)."""
+    first timed pipeline."""
     import ray.data
     ray.data.range(1000, override_num_blocks=32).map_batches(
         lambda b: b, batch_format="pyarrow").materialize()
 
 
-def run_kg(sf: float) -> tuple[float, dict[str, int]]:
-    """Time the flagship KG pipeline end-to-end (tag+link kernel tasks → explodes →
-    canonicalize → graph). Returns (wall_sec, table counts)."""
+def run_kg(sf: float) -> dict[str, int]:
+    """Run the flagship KG pipeline end-to-end (tag+link kernel tasks → explodes →
+    canonicalize → graph). Returns the table counts."""
     from ner_backend_ray.fixtures.pages import pages_fixture_dir
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
     fixture_dir = pages_fixture_dir(sf)  # cached; generation not timed
     cfg = KGConfig()
-    t0 = time.time()
     docs = tag_pages(read_pages(fixture_dir), cfg, fixture_dir).materialize()
     tables = kg_tables(docs, cfg, fixture_dir)
     counts = {name: tables[name].count()
               for name in ("mentions", "groups", "triples", "nodes", "edges")}
-    wall = time.time() - t0
     counts["docs"] = docs.count()
-    return wall, counts
+    return counts
 
 
-def run_bench(num_cpus: int, sf_dir: str, names: list[str], kg: bool) -> dict:
+def run_bench(num_cpus: int, sf_dir: str) -> dict:
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
@@ -102,10 +89,9 @@ def run_bench(num_cpus: int, sf_dir: str, names: list[str], kg: bool) -> dict:
     # (round-2 BENCH was noise-dominated). Min-of-N is the standard capability
     # estimator under one-sided noise; per-section steal%% is attached so a
     # reader can judge each number's cleanliness.
-    repeats = max(1, int(os.environ.get("BENCH_REPEATS", "2" if kg else "1")))
+    repeats = max(1, int(os.environ.get("BENCH_REPEATS", "2")))
     times: dict[str, float] = {}
     steals: dict[str, float] = {}
-    extra: dict = {}
 
     def timed(name: str, fn) -> None:
         best, best_steal = float("inf"), 0.0
@@ -121,23 +107,11 @@ def run_bench(num_cpus: int, sf_dir: str, names: list[str], kg: bool) -> dict:
         times[name] = round(best, 3)
         steals[name] = round(best_steal, 2)
 
-    if kg:
-        sf = _sf_of(sf_dir)
-        counts_box: dict = {}
-
-        def kg_fn():
-            wall, counts_box["counts"] = run_kg(sf)
-
-        timed("kg_pipeline", kg_fn)
-        counts = counts_box["counts"]
-        extra["kg_counts"] = counts
-        extra["kg_triples_per_sec"] = round(counts["triples"] / times["kg_pipeline"], 1)
-        extra["kg_docs_per_sec"] = round(counts["docs"] / times["kg_pipeline"], 1)
-        extra["kg_steal_pct"] = steals["kg_pipeline"]
-    for name in names:
+    counts: dict[str, int] = {}
+    timed("kg_pipeline", lambda: counts.update(run_kg(_sf_of(sf_dir))))
+    kg_wall = times["kg_pipeline"]
+    for name in BENCH_QUERIES:
         timed(name, lambda name=name: _consume(QUERIES[name](sf_dir)))
-    if names:
-        extra["steal_pct"] = steals
 
     result = {
         "metric": "headline pipeline wall time (KG flagship + operator suite)",
@@ -146,125 +120,22 @@ def run_bench(num_cpus: int, sf_dir: str, names: list[str], kg: bool) -> dict:
         "queries": times,
         "sf": _sf_of(sf_dir),
         "num_cpus": num_cpus,
-        **extra,
+        "kg_counts": counts,
+        "kg_triples_per_sec": round(counts["triples"] / kg_wall, 1),
+        "kg_docs_per_sec": round(counts["docs"] / kg_wall, 1),
+        "kg_steal_pct": steals["kg_pipeline"],
+        "steal_pct": steals,
     }
     ray.shutdown()
     return result
-
-
-def run_scaling() -> dict:
-    """KG flagship at num_cpus=N vs 4N in fresh processes, same input.
-
-    Legs default to 8 and 32 (SCALING_LEGS="8,32"); the north rule's criterion
-    is N vs 4N at ANY N, and on this shared host the narrow pair 4/16 is the
-    honest choice when external load is present: the 32-CPU leg needs every
-    core, so host contention hits it disproportionately and shrinks the
-    measured ratio with no code change, while 4/16 leaves headroom that
-    absorbs the external burst on BOTH legs equally."""
-    from ner_backend_ray.fixtures.pages import pages_fixture_dir
-    pages_fixture_dir(SCALING_SF)  # pre-generate so neither run pays it
-
-    lo, hi = (int(x) for x in os.environ.get("SCALING_LEGS", "8,32").split(","))
-    assert hi == 4 * lo, "scaling legs must be N and 4N"
-    walls: dict[int, float] = {lo: float("inf"), hi: float("inf")}
-    pairs: list[dict] = []
-    counts: dict = {}
-    repeats = int(os.environ.get("SCALING_REPEATS", "2"))
-    # STEAL GATE: this sandbox VM shows 0-10% hypervisor CPU steal drifting over
-    # tens of minutes; a stolen leg inflates its wall time and corrupts the
-    # ratio. Each child samples /proc/stat steal around its timed section; a
-    # pair is CLEAN only if BOTH legs measured steal below the threshold. We
-    # keep running interleaved pairs (8,32,8,32,...) until `repeats` clean pairs
-    # exist (or the attempt cap is hit), and the headline number is the MEDIAN
-    # of clean paired ratios. Pairing (each 8-leg divided by the 32-leg run
-    # back-to-back with it) keeps slow drift out; the gate keeps bursts out.
-    steal_max = float(os.environ.get("SCALING_STEAL_MAX", "2.0"))
-    max_pairs = int(os.environ.get("SCALING_MAX_PAIRS", str(max(6, repeats * 3))))
-    clean = 0
-    for _ in range(max_pairs):
-        rep: dict[int, float] = {}
-        steals: dict[int, float] = {}
-        for cpus in (lo, hi):
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--kg-only",
-                 "--cpus", str(cpus), "--kg-sf", str(SCALING_SF)],
-                capture_output=True, text=True, check=True, cwd=os.path.dirname(
-                    os.path.abspath(__file__)),
-                # one timed run per leg: the interleaved-pair + steal-gate
-                # protocol owns noise handling here, min-of-N inside a leg
-                # would just stretch each pair
-                env={**os.environ, "BENCH_REPEATS": "1"})
-            line = [ln for ln in out.stdout.splitlines() if ln.startswith("{")][-1]
-            rec = json.loads(line)
-            rep[cpus] = rec["queries"]["kg_pipeline"]
-            steals[cpus] = rec.get("kg_steal_pct", 0.0)
-            counts = rec.get("kg_counts", counts)
-        is_clean = steals[lo] <= steal_max and steals[hi] <= steal_max
-        pairs.append({"t_lo": round(rep[lo], 1), "t_hi": round(rep[hi], 1),
-                      "eff": round(rep[lo] / (4.0 * rep[hi]), 3),
-                      "steal_lo": steals[lo], "steal_hi": steals[hi],
-                      "clean": is_clean})
-        if is_clean:
-            clean += 1
-            walls[lo] = min(walls[lo], rep[lo])
-            walls[hi] = min(walls[hi], rep[hi])
-            if clean >= repeats:
-                break
-    gated = clean > 0
-    if not gated:  # honest fallback: report the ungated batch, flagged
-        for p in pairs:
-            walls[lo] = min(walls[lo], p["t_lo"])
-            walls[hi] = min(walls[hi], p["t_hi"])
-    ratios = sorted(p["eff"] for p in pairs if (p["clean"] or not gated))
-    median_eff = ratios[len(ratios) // 2] if len(ratios) % 2 \
-        else (ratios[len(ratios) // 2 - 1] + ratios[len(ratios) // 2]) / 2
-    t_lo, t_hi = walls[lo], walls[hi]
-    docs = counts.get("docs", 0)
-    triples = counts.get("triples", 0)
-    return {
-        "metric": f"KG flagship scaling efficiency (num_cpus={lo} vs {hi}, "
-                  "fresh processes, same input; median of steal-gated paired "
-                  "ratios; sf/leg defaults were chosen AFTER the round-3 "
-                  "decomposition — sf0.8 amortizes the fixed driver cost — "
-                  "see BASELINE.md for the raw batches incl. failing configs)",
-        "value": round(median_eff, 3),
-        "unit": "efficiency",
-        "legs": [lo, hi],
-        "queries": {f"kg_cpus{lo}": t_lo, f"kg_cpus{hi}": t_hi},
-        "min_leg_efficiency": round(t_lo / (4.0 * t_hi), 3),
-        "paired_runs": pairs,
-        "steal_gate_pct": steal_max,
-        "clean_pairs": clean,
-        "gated": gated,
-        "sf": SCALING_SF,
-        "num_cpus": hi,
-        "throughput_docs_per_sec": {f"cpus{lo}": round(docs / t_lo, 1),
-                                    f"cpus{hi}": round(docs / t_hi, 1)},
-        "throughput_triples_per_sec": {f"cpus{lo}": round(triples / t_lo, 1),
-                                       f"cpus{hi}": round(triples / t_hi, 1)},
-    }
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--cpus", type=int, default=DEFAULT_CPUS)
     ap.add_argument("--sf-dir", default=DEFAULT_SF_DIR)
-    ap.add_argument("--scaling", action="store_true")
-    ap.add_argument("--kg-only", action="store_true",
-                    help="time only the KG flagship (used by --scaling children)")
-    ap.add_argument("--kg-sf", type=float, default=None,
-                    help="override the KG fixture scale factor")
     args = ap.parse_args()
-
-    if args.scaling:
-        print(json.dumps(run_scaling()))
-        return
-
-    if args.kg_sf is not None:
-        # route through a fake sf dir name so _sf_of picks it up
-        args.sf_dir = f"/root/testdata/sf{args.kg_sf}"
-    names = [] if args.kg_only else BENCH_QUERIES
-    print(json.dumps(run_bench(args.cpus, args.sf_dir, names, kg=True)))
+    print(json.dumps(run_bench(args.cpus, args.sf_dir)))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Large-scale training-data operations over generic document/embedding tables:
 deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, embedding cosine),
 similarity search (brute-force + LSH-bucketed ANN), text analysis (lang-id,
-quality, token counts, fingerprints), windowed aggregates, distributed joins,
-and multimodal (binary-column) plumbing."""
+quality, token counts, fingerprints), windowed aggregates and distributed
+joins."""

@@ -12,12 +12,14 @@ template-heavy corpora (pair lists are unbounded at 100 TB). The fix here:
   rounds over (hi, lo) edge rows. Converges in O(log² n) rounds; each round
   touches only the edge set, never document payloads. At convergence the edge
   set is a star forest: every row is (member, cluster_min).
-- :func:`resolve_roots_budgeted` — the seam both dedup and KG canonicalization
-  use: count the pair set first; under ``budget`` collect + union-find (cheap,
-  exact), over it run distributed CC and collect only the final star edges
-  (one row per clustered node — the same size as the root map the caller is
-  about to broadcast anyway). The fallback event is recorded in the metrics
-  actor so it is observable in lineage.
+- :func:`resolve_roots_budgeted` — the seam the MinHash near-dup query uses
+  to turn its pair Dataset into a root map (KG canonicalization uses its
+  sibling :func:`resolve_roots_or_stars`): count the pair set first; under
+  ``budget`` collect + union-find (cheap, exact), over it run distributed CC
+  and collect only the final star edges (one row per clustered node — the
+  same size as the root map the caller is about to broadcast anyway). The
+  fallback event is recorded in the metrics actor so it is observable in
+  lineage.
 
 Partitioning assumption: one node's neighbor list fits in a worker (group =
 one node per round). A cluster of size C produces a C-member star at the end —

@@ -4,17 +4,19 @@ All operators are Ray-Data-native and shuffle-frugal:
 
 - **exact**: content hash per batch (vectorized) → groupby(hash) → keep first
   (min id). The groupby moves only (hash, id) pairs, never document text.
-- **minhash-LSH near-dup**: shingle → k minhashes → band → (band, band_hash, id)
-  rows → groupby bands → candidate pairs → verified Jaccard → min-label
-  union-find. Same machinery as the KG canonicalization stage.
+- **minhash-LSH near-dup**: shingle → k minhashes → band → (band, band_hash, id,
+  text) rows → groupby bands → candidate pairs verified by exact Jaccard. The
+  signature kernels are shared with the KG canonicalization stage.
 - **simhash**: 64-bit simhash over token hashes; near-dups = identical simhash
   prefix buckets with Hamming distance <= t verification.
 - **n-gram Jaccard**: exact verification kernel used by the LSH pipelines.
 - **embedding near-dup**: cosine >= threshold within LSH (random hyperplane)
   buckets.
 
-At 10^12-document scale each stage stays a map_batches (per-batch vectorized) +
-one groupby on small derived rows; document payloads never pass a shuffle.
+The near-dup operators return pair Datasets; callers resolve clusters with
+:func:`..ops.cc.resolve_roots_budgeted`. Each stage stays a map_batches
+(per-batch vectorized) + one groupby on derived rows; only the exact MinHash
+verifier ships document text to its buckets.
 """
 
 from __future__ import annotations
@@ -30,16 +32,11 @@ import ray.data
 
 from ..state.metrics import incr_metric
 from .ann import _as_matrix
-from .cc import resolve_roots_budgeted
 
-# Above this many *distinct* signatures in one LSH bucket, pairwise
-# verification falls back to sorted-neighborhood (window) comparison; the
-# event is counted in the metrics actor ("*_lossy_buckets") so the loss is
-# observable in lineage — never silent (round-1 verdict fix). Identical
-# signatures are always linked exactly via star edges regardless of bucket
-# size, so the common web-scale case (a giant cluster of identical/templated
-# docs) loses nothing.
-_REP_CAP = 1024
+# Above 4,096 distinct simhash values in one bucket, pairwise verification
+# falls back to a sorted-neighborhood window of this width; the event is
+# counted in the metrics actor ("simhash_lossy_buckets") so the loss is
+# observable in lineage — never silent (round-1 verdict fix).
 _SORT_WINDOW = 16
 
 
@@ -255,90 +252,6 @@ def minhash_sig(text: str, k: int = 64) -> np.ndarray:
     return vals.min(axis=0)
 
 
-def dedup_minhash_lsh(docs: ray.data.Dataset, id_col: str = "doc_id",
-                      text_col: str = "text", k: int = 64, bands: int = 16,
-                      jaccard_threshold: float = 0.8,
-                      cc_budget: int = 500_000) -> dict[int, int]:
-    """Near-duplicate clustering: returns {doc_id → root_doc_id} for every doc in
-    a near-dup cluster (absent → unique). The returned map covers only clustered
-    docs; callers broadcast it to filter.
-
-    Scale shape: no silent caps. Inside a bucket, identical signatures are
-    linked with O(n) star edges (any bucket size); the pairwise estimate runs
-    only over distinct-signature representatives — equivalent connectivity,
-    since the signature estimate is a function of signatures alone. Cluster
-    resolution goes through :func:`..ops.cc.resolve_roots_budgeted`: driver
-    union-find under ``cc_budget`` pairs, distributed connected components
-    above it."""
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        # documents never pass the shuffle — only (id, band, band_hash, signature)
-        # rows; candidate verification estimates Jaccard from full signatures.
-        ids = batch[id_col].to_pylist()
-        sigs = np.stack([minhash_sig(t, k) for t in batch[text_col].to_pylist()]) \
-            if ids else np.empty((0, k), dtype=np.uint32)
-        hashes = band_hashes_from_sigs(sigs, bands)
-        sig_bytes = [s.tobytes() for s in sigs]
-        return pa.table({
-            id_col: pa.array(np.repeat(np.asarray(ids), bands)),
-            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), len(ids))),
-            "band_hash": pa.array(hashes.ravel(), pa.int64()),
-            "sig": pa.array([s for s in sig_bytes for _ in range(bands)],
-                            pa.binary())})
-
-    def bucket_pairs(group: pa.Table) -> pa.Table:
-        items = sorted({(i, s) for i, s in zip(group[id_col].to_pylist(),
-                                               group["sig"].to_pylist())})
-        out_a, out_b = [], []
-        if len(items) > 1:
-            # 1) identical signatures → O(n) star edges; handles mega-clusters
-            #    of identical/templated docs at any bucket size, no cap.
-            by_sig: dict[bytes, list[int]] = {}
-            for i, s in items:
-                by_sig.setdefault(s, []).append(i)
-            reps = []  # (min_id, sig) per distinct signature
-            for s, ids in by_sig.items():
-                lo = min(ids)
-                reps.append((lo, s))
-                for i in ids:
-                    if i != lo:
-                        out_a.append(i)
-                        out_b.append(lo)
-            # 2) distinct signatures: pairwise estimate over representatives —
-            #    the estimate depends only on signatures, so linking reps gives
-            #    the same connectivity as linking every member pair.
-            reps.sort()
-            sigs = np.frombuffer(b"".join(s for _, s in reps),
-                                 dtype=np.uint32).reshape(len(reps), -1)
-            if len(reps) <= _REP_CAP:
-                eq = sigs[:, None, :] == sigs[None, :, :]
-                est = eq.mean(axis=2)
-                ii, jj = np.where(np.triu(est >= jaccard_threshold, k=1))
-                for i, j in zip(ii, jj):
-                    out_a.append(reps[j][0])
-                    out_b.append(reps[i][0])
-            else:
-                # sorted-neighborhood fallback for pathological buckets:
-                # counted, never silent.
-                incr_metric("minhash_lossy_buckets")
-                order = np.lexsort(sigs.T[::-1])
-                for w in range(1, _SORT_WINDOW + 1):
-                    a_idx, b_idx = order[:-w], order[w:]
-                    est = (sigs[a_idx] == sigs[b_idx]).mean(axis=1)
-                    for i, j in zip(a_idx[est >= jaccard_threshold],
-                                    b_idx[est >= jaccard_threshold]):
-                        lo, hi = sorted((reps[int(i)][0], reps[int(j)][0]))
-                        out_a.append(hi)
-                        out_b.append(lo)
-        return pa.table({"child": pa.array(out_a, pa.int64()),
-                         "root": pa.array(out_b, pa.int64())})
-
-    pairs = (docs.map_batches(band_rows, batch_format="pyarrow")
-             .groupby(["band", "band_hash"])
-             .map_groups(bucket_pairs, batch_format="pyarrow"))
-    return resolve_roots_budgeted(pairs, "child", "root", budget=cc_budget)
-
-
 def neardup_pairs_lsh_exact(docs: ray.data.Dataset, id_col: str = "doc_id",
                             text_col: str = "text", n: int = 3,
                             jaccard_threshold: float = 0.7, k: int = 64,
@@ -346,10 +259,8 @@ def neardup_pairs_lsh_exact(docs: ray.data.Dataset, id_col: str = "doc_id",
     """EXACT-verified near-dup pairs with MinHash-LSH candidate blocking:
     band rows carry the doc text into the bucket, where candidates are
     verified by true character-n-gram Jaccard (:func:`char_ngram_jaccard`) —
-    the SlimPajama/BigCode-style pipeline shape. Unlike
-    :func:`dedup_minhash_lsh` (signature estimate, text never shuffles), this
-    op ships text to its band buckets; it is the verifiable variant a SQL
-    oracle can recompute. Identical texts link via O(n) star edges inside a
+    the SlimPajama/BigCode-style pipeline shape. It ships text to its band
+    buckets, so a SQL oracle can recompute every verified pair. Identical texts link via O(n) star edges inside a
     bucket, pairwise verification runs over one representative per distinct
     text — connectivity-equivalent to all-pairs (identical texts have equal
     Jaccard to any third document). Returned pairs may repeat across bands;
@@ -440,9 +351,7 @@ def simhash_pairs(docs: ray.data.Dataset, id_col: str = "doc_id",
     agreement is recomputable from the two simhash values alone — so the
     output needs no dedup shuffle and never materializes driver-side (the
     round-2 take_all() bottleneck). Pair enumeration inside an
-    identical-simhash cluster is inherently quadratic because the OUTPUT is;
-    cluster resolution should use :func:`simhash_clusters` (linear star
-    edges) instead."""
+    identical-simhash cluster is inherently quadratic because the OUTPUT is."""
     def block_rows(batch: pa.Table) -> pa.Table:
         sims = np.array([simhash64(t) for t in batch[text_col].to_pylist()],
                         dtype=np.uint64)
@@ -524,97 +433,9 @@ def simhash_pairs(docs: ray.data.Dataset, id_col: str = "doc_id",
 def simhash_near_dups(docs: ray.data.Dataset, id_col: str = "doc_id",
                       text_col: str = "text", max_hamming: int = 3) -> list[tuple[int, int]]:
     """Driver-scale collector over :func:`simhash_pairs` (oracle/test seam —
-    the full pair list is the requested OUTPUT here). Production clustering
-    goes through :func:`simhash_clusters`, which never collects pairs."""
+    the full pair list is the requested OUTPUT here)."""
     rows = simhash_pairs(docs, id_col, text_col, max_hamming).take_all()
     return sorted({(r["a"], r["b"]) for r in rows})
-
-
-def simhash_clusters(docs: ray.data.Dataset, id_col: str = "doc_id",
-                     text_col: str = "text", max_hamming: int = 3,
-                     cc_budget: int = 500_000) -> dict[int, int]:
-    """Near-dup clustering via SimHash blocking — the 100 TB path: each bucket
-    runs a LOCAL union-find over its verified links and emits only (member →
-    local root) star edges (linear in bucket size, even for identical-simhash
-    mega-clusters — the round-2 quadratic pair-list bottleneck). Cross-bucket
-    merging goes through :func:`..ops.cc.resolve_roots_budgeted`: driver
-    union-find under ``cc_budget`` edges, distributed CC above it."""
-    def block_rows(batch: pa.Table) -> pa.Table:
-        sims = np.array([simhash64(t) for t in batch[text_col].to_pylist()],
-                        dtype=np.uint64)
-        ids = batch[id_col].to_pylist()
-        blocks = np.tile(np.arange(4, dtype=np.int32), len(ids))
-        rep = np.repeat(sims, 4)
-        keys = (rep >> (blocks.astype(np.uint64) * np.uint64(16))) \
-            & np.uint64(0xFFFF)
-        return pa.table({id_col: pa.array(np.repeat(np.asarray(ids), 4)),
-                         "block": pa.array(blocks),
-                         "key": pa.array(keys.astype(np.int64)),
-                         "simhash": pa.array(rep)})
-
-    def star_edges(group: pa.Table) -> pa.Table:
-        items = sorted(set(zip(group[id_col].to_pylist(),
-                               [int(x) for x in group["simhash"].to_pylist()])))
-        if len(items) < 2:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        by_val: dict[int, list[int]] = {}
-        for i, v in items:
-            by_val.setdefault(v, []).append(i)
-        vals = sorted(by_val)
-        # local union-find over VALUES (identical-value members join their
-        # value's root afterwards — linear)
-        parent = {v: v for v in vals}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        if len(vals) > 1:
-            varr = np.array(vals, dtype=np.uint64)
-            if len(vals) <= 4096:
-                for lo in range(0, len(vals), 512):
-                    tile = varr[lo:lo + 512]
-                    xor = (tile[:, None] ^ varr[None, :]).view(np.uint8)
-                    ham = _POP8[xor].reshape(len(tile), len(vals), 8).sum(-1)
-                    ti, tj = np.where(ham <= max_hamming)
-                    for i, j in zip(ti, tj):
-                        if lo + int(i) < int(j):
-                            ra, rb = find(vals[lo + int(i)]), find(vals[int(j)])
-                            if ra != rb:
-                                parent[max(ra, rb)] = min(ra, rb)
-            else:
-                incr_metric("simhash_lossy_buckets")
-                for w in range(1, _SORT_WINDOW + 1):
-                    xor = (varr[:-w] ^ varr[w:]).view(np.uint8)
-                    ham = _POP8[xor].reshape(-1, 8).sum(-1)
-                    for i in np.where(ham <= max_hamming)[0]:
-                        ra, rb = find(vals[int(i)]), find(vals[int(i) + w])
-                        if ra != rb:
-                            parent[max(ra, rb)] = min(ra, rb)
-        # min member id per local component
-        root_min: dict[int, int] = {}
-        for v, ids in by_val.items():
-            r = find(v)
-            m = min(ids)
-            if r not in root_min or m < root_min[r]:
-                root_min[r] = m
-        a_out, b_out = [], []
-        for v, ids in by_val.items():
-            m = root_min[find(v)]
-            for i in ids:
-                if i != m:
-                    a_out.append(i)
-                    b_out.append(m)
-        return pa.table({"a": pa.array(a_out, pa.int64()),
-                         "b": pa.array(b_out, pa.int64())})
-
-    pairs = (docs.map_batches(block_rows, batch_format="pyarrow")
-             .groupby(["block", "key"])
-             .map_groups(star_edges, batch_format="pyarrow"))
-    return resolve_roots_budgeted(pairs, "a", "b", budget=cc_budget)
 
 
 # --------------------------- embedding near-dup ---------------------------
@@ -715,68 +536,10 @@ def embedding_near_dups(embs: ray.data.Dataset, id_col: str = "vec_id",
                         vec_col: str = "embedding", n_planes: int = 12,
                         cos_threshold: float = 0.95, seed: int = 7,
                         n_tables: int = 1) -> list[tuple[int, int]]:
-    """Driver-scale collector over :func:`embedding_pairs` (oracle/test seam).
-    Production clustering goes through :func:`embedding_clusters`."""
+    """Driver-scale collector over :func:`embedding_pairs` (oracle/test seam)."""
     rows = embedding_pairs(embs, id_col, vec_col, n_planes, cos_threshold,
                            seed, n_tables).take_all()
     return sorted({(r["a"], r["b"]) for r in rows})
-
-
-def embedding_clusters(embs: ray.data.Dataset, id_col: str = "vec_id",
-                       vec_col: str = "embedding", n_planes: int = 12,
-                       cos_threshold: float = 0.95, seed: int = 7,
-                       n_tables: int = 1,
-                       cc_budget: int = 500_000) -> dict[int, int]:
-    """Cosine near-dup clustering — the 100 TB path: each LSH bucket runs a
-    LOCAL union-find over its verified pairs tile-by-tile (the full pair set
-    is never stored, in the bucket or on the driver) and emits only (member →
-    local root) star edges; cross-bucket merging goes through
-    :func:`..ops.cc.resolve_roots_budgeted`."""
-    def star_edges(group: pa.Table) -> pa.Table:
-        ids = np.array(group[id_col].to_pylist(), dtype=np.int64)
-        vecs = _as_matrix(group[vec_col])
-        if len(ids) < 2:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64())})
-        if len(ids) > 4096:
-            incr_metric("embedding_mega_buckets")
-        norms = np.linalg.norm(vecs, axis=1)
-        norms[norms == 0] = 1.0
-        nv = vecs / norms[:, None]
-        parent = np.arange(len(ids))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for lo in range(0, len(ids), 1024):
-            sims = nv[lo:lo + 1024] @ nv.T
-            ti, jj = np.where(sims >= cos_threshold)
-            gi = ti + lo
-            keep = gi < jj
-            for i, j in zip(gi[keep], jj[keep]):
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        roots = np.array([find(int(i)) for i in range(len(ids))])
-        # min member ID per local component
-        order = np.lexsort((ids, roots))
-        r_sorted, id_sorted = roots[order], ids[order]
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = r_sorted[1:] != r_sorted[:-1]
-        root_min = id_sorted[np.flatnonzero(first)][np.cumsum(first) - 1]
-        members = id_sorted
-        mask = members != root_min
-        return pa.table({"a": pa.array(members[mask], pa.int64()),
-                         "b": pa.array(root_min[mask], pa.int64())})
-
-    bucket = _embedding_bucket_rows(id_col, vec_col, n_planes, seed, n_tables)
-    pairs = (embs.map_batches(bucket, batch_format="pyarrow")
-             .groupby(["table", "bucket"])
-             .map_groups(star_edges, batch_format="pyarrow"))
-    return resolve_roots_budgeted(pairs, "a", "b", budget=cc_budget)
 
 
 def cross_doc_dup_grams(ds: ray.data.Dataset, text_col: str = "text",

@@ -71,13 +71,11 @@ class PartitionWorker:
         self.batch_size = batch_size
 
     def __call__(self, batch: dict) -> pa.Table:
-        results = []
         for path, pid in zip(batch["path"], batch["pid"]):
-            results.append(self._process_file(str(path), int(pid)))
-        return pa.table({k: pa.array([r[k] for r in results])
-                         for k in results[0]}) if results else pa.table({"pid": pa.array([], pa.int64())})
+            self._process_file(str(path), int(pid))
+        return pa.table({"pid": pa.array(batch["pid"], pa.int64())})
 
-    def _process_file(self, path: str, pid: int) -> dict:
+    def _process_file(self, path: str, pid: int) -> None:
         t0 = time.monotonic()
         pf = pq.ParquetFile(path)
         docs_parts, mention_parts, group_parts, triple_parts = [], [], [], []
@@ -119,8 +117,6 @@ class PartitionWorker:
         with open(tmp, "w") as f:
             json.dump(lineage, f)
         os.replace(tmp, os.path.join(ldir, f"part-{pid:05d}.json"))
-        return {"pid": pid, "rows": rows, "mentions": lineage["mentions"],
-                "triples": lineage["triples"], "wall_sec": lineage["wall_sec"]}
 
 
 def completed_partitions(out_dir: str) -> dict[int, dict]:
@@ -170,7 +166,9 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
 def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> dict:
     """Shuffle phase over the phase-1 ``docs`` Parquet: nodes + edges, sorted,
-    written with a _SUCCESS marker recording the contributing partitions."""
+    written with a _SUCCESS marker recording the contributing partitions. Each
+    run replaces the graph tables whole, so a re-run after more partitions
+    completed does not append to the previous graph."""
     cfg = cfg or KGConfig()
     done = sorted(completed_partitions(out_dir))
     marker = os.path.join(out_dir, "graph", "_SUCCESS")
@@ -184,7 +182,7 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
     counts = {}
     for name, ds in kg_tables(docs, cfg, fixture_dir,
                               tables=("nodes", "edges")).items():
-        ds.write_parquet(os.path.join(out_dir, "graph", name))
+        ds.write_parquet(os.path.join(out_dir, "graph", name), mode="overwrite")
         counts[name] = ds.count()
     with open(marker, "w") as f:
         json.dump({"partitions": done, **counts}, f)

@@ -552,8 +552,9 @@ def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
 
 def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
                      out_dir: str | None = None) -> dict:
-    """End-to-end streaming run. Returns summary counts; writes Parquet when
-    ``out_dir`` is given."""
+    """End-to-end streaming run. Returns summary counts; when ``out_dir`` is
+    given, writes each table to ``{out_dir}/{name}``, replacing what a
+    previous run left there."""
     cfg = cfg or KGConfig()
     docs = tag_pages(read_pages(fixture_dir), cfg, fixture_dir).materialize()
     tables = kg_tables(docs, cfg, fixture_dir)
@@ -562,10 +563,8 @@ def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
     for name in ("mentions", "groups", "triples", "nodes", "edges"):
         ds = tables[name]
         if out_dir is not None:
-            path = os.path.join(out_dir, name)
-            os.makedirs(path, exist_ok=True)
             ds = ds.materialize()
-            ds.write_parquet(path)
+            ds.write_parquet(os.path.join(out_dir, name), mode="overwrite")
         summary[name] = ds.count()
     summary["docs"] = docs.count()
     return summary

@@ -532,9 +532,7 @@ def q_minhash_neardups(sf_dir: str):
     verification inside each band bucket (the SlimPajama-style candidates +
     verify shape) → {doc_id → cluster-min root}. SQL-checkable: the oracle
     recomputes the pair set brute-force (list_intersect Jaccard) and resolves
-    components with a recursive CTE. The signature-estimate variant
-    (ops/dedup.py dedup_minhash_lsh, text never shuffles) remains the
-    100 TB path; its clustering is pinned by tests."""
+    components with a recursive CTE."""
     from ..ops.cc import resolve_roots_budgeted
     from ..ops.dedup import neardup_pairs_lsh_exact
 

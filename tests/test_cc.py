@@ -66,22 +66,27 @@ def test_resolve_roots_budgeted_fallback_paths(ray_session):
 
 def test_minhash_mega_cluster_recovered(ray_session):
     """2,000 identical docs in one LSH bucket — round-1 code silently emitted
-    zero pairs (cap 512); now the whole cluster resolves to one root."""
+    zero pairs (cap 512); now the whole cluster resolves to one root through
+    the pair operator + resolver that ``q_minhash_neardups`` runs."""
     import ray.data
-    from ner_backend_ray.ops.dedup import dedup_minhash_lsh
+    from ner_backend_ray.ops.cc import resolve_roots_budgeted
+    from ner_backend_ray.ops.dedup import neardup_pairs_lsh_exact
 
     text = "the quick brown fox jumps over the lazy dog " * 6
     rows = [{"doc_id": i, "text": text} for i in range(2000)]
     rows.append({"doc_id": 9999, "text": "completely different content here ok"})
-    roots = dedup_minhash_lsh(ray.data.from_items(rows), jaccard_threshold=0.8)
+    roots = resolve_roots_budgeted(neardup_pairs_lsh_exact(
+        ray.data.from_items(rows), jaccard_threshold=0.8))
     assert set(roots) == set(range(1, 2000))
     assert set(roots.values()) == {0}
 
 
 def test_minhash_distributed_cc_parity(ray_session):
-    """budget=0 (forced distributed CC) produces the identical root map."""
+    """budget=0 (forced distributed CC) over the MinHash pair operator yields
+    the driver union-find's root map."""
     import ray.data
-    from ner_backend_ray.ops.dedup import dedup_minhash_lsh
+    from ner_backend_ray.ops.cc import resolve_roots_budgeted, union_find
+    from ner_backend_ray.ops.dedup import neardup_pairs_lsh_exact
 
     rng = random.Random(7)
     texts = [
@@ -96,11 +101,12 @@ def test_minhash_distributed_cc_parity(ray_session):
         for i in range(40):
             rows.append({"doc_id": c * 100 + i, "text": t})
     rows.append({"doc_id": 7777, "text": "unique snowflake " + str(rng.random())})
-    ds = ray.data.from_items(rows)
-    fast = dedup_minhash_lsh(ds, jaccard_threshold=0.8, cc_budget=10**9)
-    slow = dedup_minhash_lsh(ds, jaccard_threshold=0.8, cc_budget=0)
-    assert fast == slow
-    assert len({fast[k] for k in fast}) == 5
+    pairs = neardup_pairs_lsh_exact(ray.data.from_items(rows),
+                                    jaccard_threshold=0.8).materialize()
+    want = union_find([(r["a"], r["b"]) for r in pairs.take_all()])
+    slow = resolve_roots_budgeted(pairs, budget=0)
+    assert slow == want
+    assert sorted(set(want.values())) == [0, 100, 200, 300, 400]
 
 
 def test_simhash_mega_cluster_all_pairs(ray_session):

@@ -33,7 +33,8 @@ def test_dedup_exact_matches_duckdb(docs_ds):
 
 def test_minhash_finds_planted_near_dups(ray_session):
     import ray.data
-    from ner_backend_ray.ops.dedup import dedup_minhash_lsh
+    from ner_backend_ray.ops.cc import resolve_roots_budgeted
+    from ner_backend_ray.ops.dedup import neardup_pairs_lsh_exact
     base = ("spark join filter the quick brown fox jumps over the lazy dog "
             "while streams wind through valleys " * 3)
     rows = [
@@ -42,7 +43,8 @@ def test_minhash_finds_planted_near_dups(ray_session):
         {"doc_id": 3, "text": base.replace("fox", "cat")},     # near-dup of 1
         {"doc_id": 4, "text": "completely different words about databases and engines"},
     ]
-    roots = dedup_minhash_lsh(ray.data.from_items(rows), jaccard_threshold=0.7)
+    roots = resolve_roots_budgeted(neardup_pairs_lsh_exact(
+        ray.data.from_items(rows), jaccard_threshold=0.7))
     assert roots.get(2) == 1 and roots.get(3) == 1
     assert 4 not in roots
 
@@ -259,91 +261,6 @@ def test_redact_exact():
                         "012-345-6789_PHONENUMBER": "[PHONENUMBER_1]"}
 
 
-def test_multimodal_real_codecs(ray_session):
-    import io
-    import wave
-    import ray.data
-    from ner_backend_ray.ops.multimodal import (DecodeAudio, DecodeImage,
-                                                ResizeImage, SampleFrames,
-                                                decode_bmp, decode_image,
-                                                encode_ppm, split_ppm_stream)
-
-    rng = np.random.default_rng(5)
-    imgs = [rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
-            for h, w in [(12, 20), (7, 9), (32, 16)]]
-    rows = [{"id": i, "data": encode_ppm(img)} for i, img in enumerate(imgs)]
-
-    # real decode round-trip
-    for img, row in zip(imgs, rows):
-        assert np.array_equal(decode_image(row["data"]), img)
-
-    ds = ray.data.from_items(rows)
-    out = {r["id"]: r for r in ds.map_batches(
-        DecodeImage, batch_format="pyarrow", batch_size=2,
-        concurrency=1).take_all()}
-    for i, img in enumerate(imgs):
-        assert (out[i]["width"], out[i]["height"]) == (img.shape[1], img.shape[0])
-        assert out[i]["format"] == "ppm"
-        assert abs(out[i]["mean_lum"] - img.mean()) < 1e-9
-        assert len(out[i]["embedding"]) == 16
-
-    # BMP: build a 24-bit bottom-up BMP by hand and decode it
-    img = imgs[0]
-    h, w = img.shape[:2]
-    stride = (w * 3 + 3) & ~3
-    body = bytearray()
-    for y in range(h - 1, -1, -1):
-        row = img[y, :, ::-1].tobytes()
-        body += row + b"\x00" * (stride - len(row))
-    header = (b"BM" + (54 + len(body)).to_bytes(4, "little") + b"\x00" * 4
-              + (54).to_bytes(4, "little") + (40).to_bytes(4, "little")
-              + w.to_bytes(4, "little") + h.to_bytes(4, "little")
-              + (1).to_bytes(2, "little") + (24).to_bytes(2, "little")
-              + b"\x00" * 24)
-    assert np.array_equal(decode_bmp(bytes(header + body)), img)
-
-    # resize: output is a valid PPM with the target shape
-    resized = ds.map_batches(ResizeImage, fn_constructor_kwargs={"out_w": 8, "out_h": 6},
-                             batch_format="pyarrow", batch_size=2,
-                             concurrency=1).take_all()
-    for r in resized:
-        assert decode_image(r["data"]).shape == (6, 8, 3)
-
-    # audio: stdlib-wave PCM → real features
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(8000)
-        t = np.arange(8000)
-        tone = (np.sin(2 * np.pi * 440 * t / 8000) * 20000).astype(np.int16)
-        wf.writeframes(tone.tobytes())
-    audio = ray.data.from_items([{"id": 0, "data": buf.getvalue()}]).map_batches(
-        DecodeAudio, batch_format="pyarrow", concurrency=1).take_all()[0]
-    assert audio["sample_rate"] == 8000 and audio["n_channels"] == 1
-    assert abs(audio["duration_sec"] - 1.0) < 1e-9
-    assert abs(audio["rms"] - 20000 / np.sqrt(2)) < 200
-    assert abs(audio["spectral_centroid"] - 440) < 10
-
-    # video: concatenated-PPM stream → evenly spaced real frames
-    stream = b"".join(encode_ppm(im) for im in imgs * 3)  # 9 frames
-    assert len(split_ppm_stream(stream)) == 9
-    frames = ray.data.from_items([{"id": 7, "data": stream}]).map_batches(
-        SampleFrames, fn_constructor_kwargs={"n_frames": 4},
-        batch_format="pyarrow", concurrency=1).take_all()
-    assert [f["frame_idx"] for f in frames] == [0, 1, 2, 3]
-    assert all(decode_image(f["frame"]).ndim == 3 for f in frames)
-
-    # unknown container: error marker by default, deterministic fake on opt-in
-    junk = ray.data.from_items([{"id": 1, "data": b"\xff\xd8 not-a-real-jpeg"}])
-    err = junk.map_batches(DecodeImage, batch_format="pyarrow",
-                           concurrency=1).take_all()[0]
-    assert err["format"] == "error"
-    fake = junk.map_batches(DecodeImage, fn_constructor_kwargs={"allow_fake": True},
-                            batch_format="pyarrow", concurrency=1).take_all()[0]
-    assert fake["format"] == "fake" and fake["width"] > 0
-
-
 def test_ivf_topk_self_neighbor_and_recall(embs_ds):
     from ner_backend_ray.ops.ann import brute_force_topk, build_ivf_centroids, ivf_topk
     t = pq.read_table(f"{SF_DIR}/embeddings.parquet")
@@ -417,28 +334,11 @@ def test_simhash_pairs_distinct_and_match_collector(ray_session):
     assert {(1, 3), (1, 4), (3, 4), (1, 2)} <= set(raw)
 
 
-def test_simhash_clusters_match_pair_components(ray_session):
-    import ray.data
-    from ner_backend_ray.ops.cc import union_find
-    from ner_backend_ray.ops.dedup import simhash_clusters, simhash_near_dups
-    base = "alpha beta gamma delta epsilon zeta eta theta iota " * 3
-    rows = [{"doc_id": i, "text": base + ("kappa" * (i % 2))} for i in range(1, 7)]
-    rows.append({"doc_id": 9, "text": "unrelated content entirely here today friend"})
-    ds = ray.data.from_items(rows)
-    pairs = simhash_near_dups(ds, max_hamming=3)
-    want = union_find(pairs)
-    got = simhash_clusters(ds, max_hamming=3)
-    assert {k: v for k, v in got.items() if k != v} == \
-        {k: v for k, v in want.items() if k != v}
-
-
 def test_embedding_pairs_distinct_across_tables(ray_session):
     """With n_tables>1 a colliding pair lands in several tables; the pair
     Dataset must still emit it once (first-collision ownership)."""
     import ray.data
-    from ner_backend_ray.ops.cc import union_find
-    from ner_backend_ray.ops.dedup import (embedding_clusters, embedding_near_dups,
-                                           embedding_pairs)
+    from ner_backend_ray.ops.dedup import embedding_near_dups, embedding_pairs
     rng = np.random.default_rng(0)
     v = rng.standard_normal(16)
     w = rng.standard_normal(16)
@@ -454,49 +354,6 @@ def test_embedding_pairs_distinct_across_tables(ray_session):
     pairs = embedding_near_dups(ds, cos_threshold=0.99, n_planes=6, n_tables=8)
     assert set(raw) == set(pairs)
     assert {(1, 2), (1, 3), (2, 3)} <= set(raw)
-    want = union_find(pairs)
-    got = embedding_clusters(ds, cos_threshold=0.99, n_planes=6, n_tables=8)
-    assert {k: v for k, v in got.items() if k != v} == \
-        {k: v for k, v in want.items() if k != v}
-
-
-def test_decode_audio_error_path_and_24bit(ray_session):
-    import io
-    import wave
-    import ray.data
-    from ner_backend_ray.ops.multimodal import DecodeAudio
-    # 24-bit mono tone
-    t = np.arange(4000)
-    tone = (np.sin(2 * np.pi * 440 * t / 8000) * (1 << 22)).astype(np.int64)
-    pcm24 = b"".join(int(s & 0xFFFFFF).to_bytes(3, "little") for s in tone)
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(3)
-        wf.setframerate(8000)
-        wf.writeframes(pcm24)
-    rows = [{"id": 0, "data": buf.getvalue()},
-            {"id": 1, "data": b"RIFFgarbage-not-a-wav"},
-            {"id": 2, "data": b""}]
-    out = {r["id"]: r for r in ray.data.from_items(rows).map_batches(
-        DecodeAudio, batch_format="pyarrow", concurrency=1).take_all()}
-    assert out[0]["status"] == "ok"
-    assert out[0]["sample_rate"] == 8000
-    assert abs(out[0]["spectral_centroid"] - 440) < 10
-    # corrupt rows route to status="error" instead of killing the task
-    assert out[1]["status"] == "error" and out[1]["sample_rate"] == 0
-    assert out[2]["status"] == "error"
-
-
-def test_sample_frames_empty_payload_marker(ray_session):
-    import ray.data
-    from ner_backend_ray.ops.multimodal import SampleFrames
-    rows = [{"id": 1, "data": b""}, {"id": 2, "data": b"not-a-ppm-stream"}]
-    out = ray.data.from_items(rows).map_batches(
-        SampleFrames, fn_constructor_kwargs={"n_frames": 3},
-        batch_format="pyarrow", concurrency=1).take_all()
-    # both unparseable payloads produce exactly one countable marker row
-    assert sorted((r["id"], r["frame_idx"]) for r in out) == [(1, -1), (2, -1)]
 
 
 def _asof_brute(levts, revts, allow_exact):

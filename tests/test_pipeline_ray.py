@@ -381,11 +381,12 @@ def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
 
 
 def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
-    """Kill after k partitions → resume → outputs byte-identical to a fresh run."""
+    """Kill after k partitions → phase 2 over them → resume → outputs
+    identical to a fresh run, the graph replaced rather than appended to."""
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.checkpointed import (completed_partitions,
                                                         run_kg_checkpointed,
-                                                        run_phase1)
+                                                        run_phase1, run_phase2)
     cfg = KGConfig(tag_concurrency=2)
 
     full_dir = str(tmp_path / "full")
@@ -397,6 +398,8 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
     resume_dir = str(tmp_path / "resume")
     s1 = run_phase1(tiny_fixture, resume_dir, cfg, concurrency=2, max_partitions=3)
     assert len(completed_partitions(resume_dir)) == 3
+    # a graph over the partial run, which the resume must replace
+    assert run_phase2(tiny_fixture, resume_dir, cfg)["skipped"] is False
     # resume: remaining partitions run, completed ones skipped
     s2 = run_kg_checkpointed(tiny_fixture, resume_dir, cfg, concurrency=2)
     assert s2["partitions_skipped"] == 3
@@ -407,6 +410,13 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
         assert [os.path.basename(p) for p in full_files] == [os.path.basename(p) for p in res_files]
         for a, b in zip(full_files, res_files):
             assert pq.read_table(a).equals(pq.read_table(b)), (a, b)
+
+    for table, keys in (("nodes", ["canonical_id"]),
+                        ("edges", ["subj_id", "pred", "obj_id"])):
+        order = [(k, "ascending") for k in keys]
+        want = pq.read_table(os.path.join(full_dir, "graph", table)).sort_by(order)
+        got = pq.read_table(os.path.join(resume_dir, "graph", table)).sort_by(order)
+        assert got.equals(want), table
 
     # second resume is a no-op
     s3 = run_kg_checkpointed(tiny_fixture, resume_dir, cfg, concurrency=2)
