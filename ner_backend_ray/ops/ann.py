@@ -17,6 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from .combine import segment_rank
@@ -26,40 +27,62 @@ _TOPK_SCHEMA = pa.schema([("query_id", pa.int64()),
                           ("rank", pa.int64())])
 
 
+# Under this many partial rows (at most k × queries × input blocks) the
+# partials merge in one task: hash-grouping a few queries' rows into
+# ``buckets_for(0)`` buckets leaves most groups empty, and each empty group
+# costs a shuffle task and emits a schema-less block.
+_ONE_TASK_ROWS = 100_000
+
+
+def _merge_rows(g: pa.Table, k: int) -> pa.Table:
+    """ONE vectorized lexsort + segment mask picks each query's k best
+    partial rows by (sim desc, neighbor_id asc) — no per-query Python call."""
+    if g.num_rows == 0:
+        return _TOPK_SCHEMA.empty_table()
+    q = g["query_id"].to_numpy(zero_copy_only=False)
+    s = g["sim"].to_numpy(zero_copy_only=False)
+    n = g["neighbor_id"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((n, -s, q))  # query asc, sim desc, id asc
+    qs, ns = q[order], n[order]
+    pos = segment_rank(qs)
+    keep = pos < k
+    return pa.table({"query_id": pa.array(qs[keep], pa.int64()),
+                     "neighbor_id": pa.array(ns[keep], pa.int64()),
+                     "rank": pa.array(pos[keep] + 1, pa.int64())})
+
+
+@ray.remote
+def _merge_blocks(k: int, *blocks: pa.Table) -> pa.Table:
+    blocks = [b for b in blocks if b.num_rows]
+    return _merge_rows(pa.concat_tables(blocks) if blocks
+                       else _TOPK_SCHEMA.empty_table(), k)
+
+
 def merge_topk(partials: ray.data.Dataset, k: int,
                n_buckets: int | None = None) -> pa.Table:
-    """Distributed final top-k over (query_id, neighbor_id, sim) partials:
-    hash-bucket by query_id, then ONE vectorized lexsort + segment mask per
-    bucket picks each query's k best by (sim desc, neighbor_id asc) — no
-    per-query Python call, no driver-side partial collection. At 10^6 blocks
-    the partials stay in the cluster; only k·|queries| result rows are
-    collected. Returns (query_id, neighbor_id, rank) sorted by (query, rank)."""
+    """Distributed final top-k over (query_id, neighbor_id, sim) partials.
+    Under ``_ONE_TASK_ROWS`` partial rows, one task merges them all; above
+    it, they are hash-bucketed by query_id and each bucket merged. Either
+    way the partials stay in the cluster and only k·|queries| result rows
+    are collected. Returns (query_id, neighbor_id, rank) sorted by
+    (query, rank)."""
     from .joins import _bucket_of, buckets_for
-    n_buckets = n_buckets or buckets_for(0)
+    partials = partials.materialize()
+    if partials.count() < _ONE_TASK_ROWS:
+        out = ray.get(_merge_blocks.remote(k, *partials.to_arrow_refs()))
+    else:
+        n_buckets = n_buckets or buckets_for(0)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__b", _bucket_of(batch["query_id"],
-                                                     n_buckets))
+        def tag(batch: pa.Table) -> pa.Table:
+            return batch.append_column("__b", _bucket_of(batch["query_id"],
+                                                         n_buckets))
 
-    def merge(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _TOPK_SCHEMA.empty_table()
-        q = g["query_id"].to_numpy(zero_copy_only=False)
-        s = g["sim"].to_numpy(zero_copy_only=False)
-        n = g["neighbor_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((n, -s, q))  # query asc, sim desc, id asc
-        qs, ns = q[order], n[order]
-        pos = segment_rank(qs)
-        keep = pos < k
-        return pa.table({"query_id": pa.array(qs[keep], pa.int64()),
-                         "neighbor_id": pa.array(ns[keep], pa.int64()),
-                         "rank": pa.array(pos[keep] + 1, pa.int64())})
-
-    merged = (partials.map_batches(tag, batch_format="pyarrow")
-              .groupby("__b").map_groups(merge, batch_format="pyarrow"))
-    blocks = [b for b in ray.get(merged.to_arrow_refs()) if b.num_rows]
-    out = (pa.concat_tables(blocks).combine_chunks() if blocks
-           else _TOPK_SCHEMA.empty_table())
+        merged = (partials.map_batches(tag, batch_format="pyarrow")
+                  .groupby("__b").map_groups(lambda g: _merge_rows(g, k),
+                                             batch_format="pyarrow"))
+        blocks = [b for b in ray.get(merged.to_arrow_refs()) if b.num_rows]
+        out = (pa.concat_tables(blocks).combine_chunks() if blocks
+               else _TOPK_SCHEMA.empty_table())
     return out.take(pc.sort_indices(
         out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
 

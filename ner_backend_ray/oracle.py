@@ -39,7 +39,7 @@ class KGConfig:
         "org_pages": 'COUNT(COMPANY) > 1 OR COUNT(LOCATION) > 2',
     })
     min_link_score: float = 0.0
-    batch_size: int = 256
+    batch_size: int = 256  # docs per TagDocs call, in both runners
     tag_concurrency: int | None = None  # cap on concurrent tag tasks; None → executor
 
 

@@ -59,6 +59,19 @@ def _atomic_write(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _file_batches(path: str, batch_size: int, columns: list[str]):
+    """``columns`` of the Parquet file at ``path``, ``batch_size`` rows per
+    table; a 0-row file yields one empty table, so its partition is still
+    written with typed, zero-row tables."""
+    pf = pq.ParquetFile(path)
+    empty = True
+    for rb in pf.iter_batches(batch_size=batch_size, columns=columns):
+        empty = False
+        yield pa.Table.from_batches([rb])
+    if empty:
+        yield pf.schema_arrow.empty_table().select(columns)
+
+
 class PartitionWorker:
     """Per-file phase-1 kernel: model + alias dict loaded once per worker
     process (in the shared ``TagDocs`` kernel, via ``per_process``); each
@@ -77,11 +90,9 @@ class PartitionWorker:
 
     def _process_file(self, path: str, pid: int) -> None:
         t0 = time.monotonic()
-        pf = pq.ParquetFile(path)
         docs_parts, mention_parts, group_parts, triple_parts = [], [], [], []
         rows = 0
-        for rb in pf.iter_batches(batch_size=self.batch_size, columns=["url", "html", "text"]):
-            tbl = pa.Table.from_batches([rb])
+        for tbl in _file_batches(path, self.batch_size, ["url", "html", "text"]):
             rows += tbl.num_rows
             tbl = extract_text_batch(tbl)
             docs = self.tagger(tbl.select(["url", "html"]))

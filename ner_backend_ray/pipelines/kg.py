@@ -1,11 +1,12 @@
 """The flagship KG-construction pipeline and its one graph builder.
 
-    read_parquet(pages)                           [driver plans blocks]
-      → map_batches(extract_text_batch)           [stateless; byte-identity invariant]
-      → map_batches(per_process(TagDocs, ...))    [ONE kernel: clean→tag→validate→
-                                                   coalesce→groups→triples→link per doc,
-                                                   run as tasks; model + alias dict load
-                                                   once per worker process]
+    read_parquet(pages)                           ┐ ONE operator, one task per
+      → map_batches(extract_text_batch)           │ read block (Ray Data's default
+      → map_batches(TagDocs, batch_size=None)     ┘ read parallelism)
+          [extract: stateless, byte-identity invariant; TagDocs: ONE kernel,
+           clean→tag→validate→coalesce→groups→triples→link per doc,
+           cfg.batch_size docs per call, model + alias dict loaded once per
+           worker process]
       → kg_tables(docs)                           [the graph builder below]
 
 ``kg_tables`` is the only graph builder. The streaming runner feeds it the
@@ -97,34 +98,16 @@ def _edge_buckets() -> int:
     return max(64, 2 * _cluster_cpus())
 
 
-def _read_blocks() -> int:
-    """Read blocks = an EXACT MULTIPLE of the cluster's CPUs, ≥48.
-
-    The extract → tag stage runs in waves of up to one task per CPU; a
-    non-multiple block count leaves the last wave partially filled —
-    measured at sf0.4/32cpu with a 30-wide tag stage, 48 blocks meant wave 2
-    ran 18/30 wide, idling 20% of the stage's CPU-seconds, a cost that hits
-    ONLY the wide leg and so directly depresses scaling efficiency.
-    The floor (48 blocks, 4 waves) keeps task quanta fine on small clusters;
-    the cap bounds the ~20 ms/block driver cost of the downstream executions
-    over the materialized docs. The docs dataset is deliberately NEVER
-    repartitioned: Ray's shuffle=False repartition funnels all data through a
-    single reduce task (measured ~19 s for 2 GB) — a serial,
-    data-proportional cost that would cap scaling efficiency."""
-    cpus = max(1, _cluster_cpus())
-    waves = max(4, -(-48 // cpus))        # ≥4 full waves, ≥48 blocks
-    blocks = cpus * waves
-    if blocks > 256:                      # bound driver per-block cost…
-        blocks = cpus * max(1, 256 // cpus)   # …but stay a multiple
-    return blocks
-
-
 def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
-    """``filesystem``: optional pyarrow/fsspec filesystem (the object-store
-    seam — reference reads pages from S3, s3_connector.go:71-93)."""
+    """The pages Parquet at Ray Data's default read parallelism (at least
+    two blocks per CPU, and up to 200 blocks of ~1 MiB or more). When that
+    asks for no more blocks than there are files, no file is split and the
+    read fuses into the tag task (``tag_pages``); a split (``SplitBlocks``
+    in the stats) keeps the read its own operator. ``filesystem``: optional
+    pyarrow/fsspec filesystem (the object-store seam — reference reads pages
+    from S3, s3_connector.go:71-93)."""
     from ..sources.fs import wrap_for_arrow
     return ray.data.read_parquet(os.path.join(fixture_dir, "pages"),
-                                 override_num_blocks=_read_blocks(),
                                  filesystem=wrap_for_arrow(filesystem))
 
 
@@ -149,19 +132,32 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     Ray Data tasks and is built once per worker process for this call
     (stages/kernel.py::per_process), so the executor, not a pool reserved per
     pipeline, owns the CPU slots. ``cfg.tag_concurrency`` caps the concurrent
-    tag tasks; None leaves it to the executor."""
+    tag tasks; None leaves it to the executor.
+
+    Read, extract and tag run as ONE operator, one task per read block (when
+    the read splits no file, see ``read_pages``): the tag map takes whole
+    blocks (``batch_size=None``) and feeds the kernel ``cfg.batch_size``
+    docs per call. A block split on the read or a ``batch_size`` on this map
+    makes Ray Data plan read and tag as two operators with a queue and a CPU
+    reservation between them, and the tag stage then ran 1.3–1.6 tasks wide
+    on 4 CPUs (fused: 2.2–2.5). This is inference fused with the scan that
+    feeds it (ICDE 2025, "Machine Learning Inference Pipeline Execution
+    Using Pure SQL Based on Operator Fusion")."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
     # the tagger works on raw bytes (html); drop everything else before the
     # tag stage so only (url, html) moves through the object store
     ds = ds.select_columns(["url", "html"])
-    return ds.map_batches(
-        per_process(TagDocs, **tag_docs_kwargs(cfg, fixture_dir)),
-        batch_size=cfg.batch_size,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=cfg.tag_concurrency,
-    )
+    kernel = per_process(TagDocs, **tag_docs_kwargs(cfg, fixture_dir))
+    step = cfg.batch_size
+
+    def tag_block(block: pa.Table) -> pa.Table:
+        return pa.concat_tables([kernel(block.slice(i, step))
+                                 for i in range(0, block.num_rows, step)])
+
+    tag_block.__name__ = kernel.__name__
+    return ds.map_batches(tag_block, batch_size=None, batch_format="pyarrow",
+                          zero_copy_batch=True, concurrency=cfg.tag_concurrency)
 
 
 def _cid_from_cols(keys, roots=None, root_map: dict | None = None) -> pa.Array:
@@ -504,9 +500,11 @@ def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
     wait on it), and the small chains over the compacted partials on the
     "chain" lane, always overlapped. The graph phase has four shuffles:
     the ``parts`` compaction, the root-map groupby, and one sort per output,
-    which both groups it (equal keys share a partition) and orders it. Every
-    shuffle input is block-count-bounded and all combiner partials are
-    vectorized Arrow kernels.
+    which both groups it (equal keys share a partition) and orders it. The
+    docs hold one block per read block (Ray Data's default read
+    parallelism), and ``parts`` is compacted to ``_compact_small()`` blocks
+    before the groupby and the sorts, so every shuffle input is
+    block-count-bounded; all combiner partials are vectorized Arrow kernels.
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""

@@ -35,7 +35,8 @@ def extract_text_batch(batch: pa.Table, check_invariant: bool = True) -> pa.Tabl
 
     if check_invariant and "text" in batch.column_names:
         eq = pc.equal(extracted, batch["text"])
-        if not pc.all(eq).as_py():
+        # min_count=0: a 0-row batch satisfies the invariant
+        if not pc.all(eq, min_count=0).as_py():
             bad = pc.filter(batch["url"], pc.invert(pc.fill_null(eq, False)))
             raise AssertionError(
                 f"byte-identity invariant violated for {len(bad)} urls, e.g. {bad[0]}")

@@ -13,8 +13,10 @@ long as the stage that asked for it: a rebuilt stage over a rewritten alias
 file never sees the old dictionary. The cache holds a few kernels per process
 and drops the least recently used.
 
-Usage:
-    ds.map_batches(per_process(TagDocs, **kwargs), batch_size=B,
+Usage (whole blocks, so a read upstream fuses into the same task;
+pipelines/kg.py::tag_pages slices each block into ``KGConfig.batch_size``-doc
+kernel calls):
+    ds.map_batches(per_process(TagDocs, **kwargs), batch_size=None,
                    batch_format="pyarrow", zero_copy_batch=True)
 """
 

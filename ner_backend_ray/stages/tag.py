@@ -8,9 +8,10 @@ each Arrow batch of pages runs the per-document chain (core/inference.py) and
 emits one row per document with nested mentions/groups — downstream stateless
 stages explode those into flat tables.
 
-Usage (stages/kernel.py builds the kernel once per process for the stage):
-    ds.map_batches(per_process(TagDocs, **kwargs), batch_size=B,
-                   batch_format="pyarrow", zero_copy_batch=True)
+Usage: ``pipelines/kg.py::tag_pages`` runs the kernel over whole read blocks,
+``KGConfig.batch_size`` docs per call, so the read fuses into the tag task
+(stages/kernel.py builds the kernel once per process for the stage):
+    tag_pages(read_pages(fixture_dir), cfg, fixture_dir)
 """
 
 from __future__ import annotations

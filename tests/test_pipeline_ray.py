@@ -269,8 +269,8 @@ def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
     alias_path = os.path.join(fx, "alias_dict.parquet")
-    # small batches: many tag tasks per run, so the second run's tasks land
-    # on worker processes that ran the first run's kernel
+    # one tag task per pages file, at most two at a time: the second run's
+    # tasks land on worker processes that ran the first run's kernel
     cfg = KGConfig(tag_concurrency=2, batch_size=8)
 
     def linked() -> dict:
@@ -366,6 +366,88 @@ def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
     assert proc.returncode == 0, proc.stderr[-3000:]
     ok = json.loads(proc.stdout.strip().splitlines()[-1])
     assert ok["crashed"] and ok["rows"] > 0 and ok["same_bytes"], ok
+
+
+@pytest.fixture(scope="module")
+def pages_2k():
+    """2,000 pages in 8 files of 250 rows: few enough rows per file that Ray
+    Data plans one read block per file and splits none."""
+    from ner_backend_ray.fixtures.pages import generate_pages
+    return generate_pages(0.002)
+
+
+def _fused_docs(fx: str, cfg):
+    """``tag_pages`` over ``fx``, materialized, after checking that its
+    stats name ONE operator that runs both the Parquet read and ``TagDocs``
+    and that no block split sits anywhere in the plan. A split of the read
+    or a ``batch_size`` on the tag map makes Ray Data plan read and tag as
+    two operators."""
+    import re
+
+    from ner_backend_ray.pipelines.kg import read_pages, tag_pages
+
+    docs = tag_pages(read_pages(fx), cfg, fx).materialize()
+    ops = re.findall(r"^Operator \d+ (.+?): \d+ tasks executed", docs.stats(),
+                     re.M)
+    assert [op for op in ops if "ReadParquet" in op and "TagDocs" in op], ops
+    assert not [op for op in ops if "SplitBlocks" in op], ops
+    return docs
+
+
+def test_read_and_tag_run_as_one_operator(ray_session, pages_2k):
+    """Read, extract and tag run as one Ray Data operator, one task per
+    read block, so the tag stage runs as wide as the read."""
+    from ner_backend_ray.oracle import KGConfig
+
+    assert _fused_docs(pages_2k, KGConfig()).count() == 2000
+
+
+def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
+    """The fused task feeds ``TagDocs`` ``cfg.batch_size`` docs per call:
+    8-doc calls (32 per block) and the default 256 (one per block) give the
+    same docs."""
+    from ner_backend_ray.oracle import KGConfig
+
+    small = _collect(_fused_docs(pages_2k, KGConfig(batch_size=8))).sort_by("url")
+    default = _collect(_fused_docs(pages_2k, KGConfig())).sort_by("url")
+    assert small.num_rows == 2000
+    assert small.equals(default)
+
+
+@pytest.mark.parametrize("emptied", ["one_file", "every_file"])
+def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
+                                          emptied):
+    """Pages files rewritten to 0 rows, one of them or all: both runners
+    finish with the oracle's counts (all 0 when every file is empty), and
+    every docs block that holds rows carries the docs schema."""
+    import ray
+
+    from ner_backend_ray.oracle import KGConfig, run_oracle
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+    from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+    from ner_backend_ray.stages.tag import DOC_SCHEMA
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    files = sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))
+    for f in (files[-1:] if emptied == "one_file" else files):
+        pq.write_table(pq.read_table(f).slice(0, 0), f)
+    want = run_oracle(fx)
+    counts = {n: want[n].num_rows
+              for n in ("mentions", "groups", "triples", "nodes", "edges")}
+    assert any(counts.values()) == (emptied == "one_file")
+
+    cfg = KGConfig()
+    docs = tag_pages(read_pages(fx), cfg, fx).materialize()
+    blocks = ray.get(docs.to_arrow_refs())
+    assert all(b.schema.names == DOC_SCHEMA.names for b in blocks if b.num_rows)
+    tables = kg_tables(docs, cfg, fx)
+    assert {n: tables[n].count() for n in counts} == counts
+
+    s = run_kg_checkpointed(fx, str(tmp_path / "ckpt"), cfg, concurrency=2)
+    assert s["rows"] == docs.count()
+    assert {n: s[n] for n in ("mentions", "triples", "nodes", "edges")} == {
+        n: counts[n] for n in ("mentions", "triples", "nodes", "edges")}
 
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
