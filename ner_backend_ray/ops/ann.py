@@ -2,9 +2,9 @@
 
 - ``brute_force_topk``: the exact baseline — the (small) query matrix is broadcast
   (``ray.put`` once / closure capture), each batch does one float64 matmul against
-  it and emits only its local top-k rows per query (combiner); a distributed
-  per-query merge (:func:`merge_topk`) then reduces the k·blocks·queries partial
-  rows to global top-k inside workers. Only the k·queries RESULT rows reach the
+  it and emits only its local top-k rows per query (combiner); one merge
+  task (:func:`merge_topk`) then reduces the k·blocks·queries partial
+  rows to global top-k inside a worker. Only the k·queries RESULT rows reach the
   driver — no shuffle of the embedding table, no driver-side partial collection.
 - ``lsh_topk``: the scale path — random-hyperplane buckets with multi-probe: only
   vectors sharing a bucket with the query are scored. Falls back gracefully
@@ -27,18 +27,14 @@ _TOPK_SCHEMA = pa.schema([("query_id", pa.int64()),
                           ("rank", pa.int64())])
 
 
-# Under this many partial rows (at most k × queries × input blocks) the
-# partials merge in one task: hash-grouping a few queries' rows into
-# ``buckets_for(0)`` buckets leaves most groups empty, and each empty group
-# costs a shuffle task and emits a schema-less block.
-_ONE_TASK_ROWS = 100_000
-
-
-def _merge_rows(g: pa.Table, k: int) -> pa.Table:
+@ray.remote
+def _merge_blocks(k: int, *blocks: pa.Table) -> pa.Table:
     """ONE vectorized lexsort + segment mask picks each query's k best
     partial rows by (sim desc, neighbor_id asc) — no per-query Python call."""
-    if g.num_rows == 0:
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
         return _TOPK_SCHEMA.empty_table()
+    g = pa.concat_tables(blocks)
     q = g["query_id"].to_numpy(zero_copy_only=False)
     s = g["sim"].to_numpy(zero_copy_only=False)
     n = g["neighbor_id"].to_numpy(zero_copy_only=False)
@@ -51,38 +47,15 @@ def _merge_rows(g: pa.Table, k: int) -> pa.Table:
                      "rank": pa.array(pos[keep] + 1, pa.int64())})
 
 
-@ray.remote
-def _merge_blocks(k: int, *blocks: pa.Table) -> pa.Table:
-    blocks = [b for b in blocks if b.num_rows]
-    return _merge_rows(pa.concat_tables(blocks) if blocks
-                       else _TOPK_SCHEMA.empty_table(), k)
-
-
-def merge_topk(partials: ray.data.Dataset, k: int,
-               n_buckets: int | None = None) -> pa.Table:
-    """Distributed final top-k over (query_id, neighbor_id, sim) partials.
-    Under ``_ONE_TASK_ROWS`` partial rows, one task merges them all; above
-    it, they are hash-bucketed by query_id and each bucket merged. Either
-    way the partials stay in the cluster and only k·|queries| result rows
-    are collected. Returns (query_id, neighbor_id, rank) sorted by
-    (query, rank)."""
-    from .joins import _bucket_of, buckets_for
-    partials = partials.materialize()
-    if partials.count() < _ONE_TASK_ROWS:
-        out = ray.get(_merge_blocks.remote(k, *partials.to_arrow_refs()))
-    else:
-        n_buckets = n_buckets or buckets_for(0)
-
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column("__b", _bucket_of(batch["query_id"],
-                                                         n_buckets))
-
-        merged = (partials.map_batches(tag, batch_format="pyarrow")
-                  .groupby("__b").map_groups(lambda g: _merge_rows(g, k),
-                                             batch_format="pyarrow"))
-        blocks = [b for b in ray.get(merged.to_arrow_refs()) if b.num_rows]
-        out = (pa.concat_tables(blocks).combine_chunks() if blocks
-               else _TOPK_SCHEMA.empty_table())
+def merge_topk(partials: ray.data.Dataset, k: int) -> pa.Table:
+    """Final top-k over (query_id, neighbor_id, sim) partials, merged in ONE
+    Ray task: the partials hold at most k × queries × input blocks rows,
+    and at the sizes the queries run a query-bucketed shuffle over so few
+    rows only adds empty groups (each a shuffle task and a schema-less
+    block). The partials stay in the cluster; only the
+    k·|queries| result rows reach the driver. Returns (query_id,
+    neighbor_id, rank) sorted by (query, rank)."""
+    out = ray.get(_merge_blocks.remote(k, *partials.to_arrow_refs()))
     return out.take(pc.sort_indices(
         out, sort_keys=[("query_id", "ascending"), ("rank", "ascending")]))
 

@@ -40,7 +40,6 @@ class KGConfig:
     })
     min_link_score: float = 0.0
     batch_size: int = 256  # docs per TagDocs call, in both runners
-    tag_concurrency: int | None = None  # cap on concurrent tag tasks; None → executor
 
 
 def _decode(b: bytes) -> str:

@@ -131,15 +131,16 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     linked — one pass over the documents instead of three. The kernel runs in
     Ray Data tasks and is built once per worker process for this call
     (stages/kernel.py::per_process), so the executor, not a pool reserved per
-    pipeline, owns the CPU slots. ``cfg.tag_concurrency`` caps the concurrent
-    tag tasks; None leaves it to the executor.
+    pipeline, owns the CPU slots.
 
     Read, extract and tag run as ONE operator, one task per read block (when
     the read splits no file, see ``read_pages``): the tag map takes whole
     blocks (``batch_size=None``) and feeds the kernel ``cfg.batch_size``
-    docs per call. A block split on the read or a ``batch_size`` on this map
-    makes Ray Data plan read and tag as two operators with a queue and a CPU
-    reservation between them, and the tag stage then ran 1.3–1.6 tasks wide
+    docs per call. A block split on the read, or a ``batch_size`` or a
+    ``concurrency`` on this map (Ray fuses two task maps only when their
+    concurrency caps match, and the read sets none), makes Ray Data plan
+    read and tag as two operators with a queue and a CPU reservation
+    between them, and the tag stage then ran 1.3–1.6 tasks wide
     on 4 CPUs (fused: 2.2–2.5). This is inference fused with the scan that
     feeds it (ICDE 2025, "Machine Learning Inference Pipeline Execution
     Using Pure SQL Based on Operator Fusion")."""
@@ -157,7 +158,7 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
 
     tag_block.__name__ = kernel.__name__
     return ds.map_batches(tag_block, batch_size=None, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=cfg.tag_concurrency)
+                          zero_copy_batch=True)
 
 
 def _cid_from_cols(keys, roots=None, root_map: dict | None = None) -> pa.Array:

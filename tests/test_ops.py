@@ -94,20 +94,6 @@ def test_brute_force_topk_exact(embs_ds):
         assert [r["neighbor_id"] for r in rows] == want
 
 
-def test_merge_topk_grouped_path_equals_one_task(embs_ds, monkeypatch):
-    """A few queries' partials merge in one task; with that threshold at 0
-    they take the query-bucketed grouped path, which yields the same table,
-    names and types included."""
-    from ner_backend_ray.ops import ann
-    t = pq.read_table(f"{SF_DIR}/embeddings.parquet")
-    queries = np.array(t["embedding"].to_pylist()[:3], dtype=np.float64)
-    one_task = ann.brute_force_topk(embs_ds, queries, [0, 1, 2], k=5)
-    monkeypatch.setattr(ann, "_ONE_TASK_ROWS", 0)
-    grouped = ann.brute_force_topk(embs_ds, queries, [0, 1, 2], k=5)
-    assert one_task.num_rows == 15
-    assert grouped.equals(one_task)
-
-
 def test_lsh_topk_reasonable_recall(embs_ds):
     from ner_backend_ray.ops.ann import brute_force_topk, lsh_topk
     t = pq.read_table(f"{SF_DIR}/embeddings.parquet")

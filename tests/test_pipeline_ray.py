@@ -27,7 +27,7 @@ def test_streaming_pipeline_matches_oracle(ray_session, tiny_fixture, oracle_res
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     tables = kg_tables(docs, cfg, tiny_fixture)
 
@@ -77,7 +77,7 @@ def test_star_join_root_map_matches_broadcast(ray_session, tiny_fixture,
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
     monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", "0")
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     tables = kg_tables(docs, cfg, tiny_fixture)
 
@@ -170,7 +170,7 @@ def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path
 
     if rootmap_budget is not None:
         monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", rootmap_budget)
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     tables = kg_tables(docs, cfg, tiny_fixture)
     out = str(tmp_path / "ckpt")
@@ -269,9 +269,10 @@ def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
     alias_path = os.path.join(fx, "alias_dict.parquet")
-    # one tag task per pages file, at most two at a time: the second run's
-    # tasks land on worker processes that ran the first run's kernel
-    cfg = KGConfig(tag_concurrency=2, batch_size=8)
+    # one tag task per pages file, more files than the session's CPUs: the
+    # second run's tasks land on worker processes that ran the first run's
+    # kernel
+    cfg = KGConfig(batch_size=8)
 
     def linked() -> dict:
         """(url, start, end) → entity_key of every mention."""
@@ -414,24 +415,27 @@ def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
     assert small.equals(default)
 
 
-@pytest.mark.parametrize("emptied", ["one_file", "every_file"])
-def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
-                                          emptied):
-    """Pages files rewritten to 0 rows, one of them or all: both runners
-    finish with the oracle's counts (all 0 when every file is empty), and
-    every docs block that holds rows carries the docs schema."""
-    import ray
-
-    from ner_backend_ray.oracle import KGConfig, run_oracle
-    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
-    from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
-    from ner_backend_ray.stages.tag import DOC_SCHEMA
-
+def _emptied_fixture(tiny_fixture: str, tmp_path, emptied: str) -> str:
+    """A copy of the tiny fixture with its last pages file (``one_file``) or
+    every pages file (``every_file``) rewritten to 0 rows."""
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
     files = sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))
     for f in (files[-1:] if emptied == "one_file" else files):
         pq.write_table(pq.read_table(f).slice(0, 0), f)
+    return fx
+
+
+@pytest.mark.parametrize("emptied", ["one_file", "every_file"])
+def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
+                                          emptied):
+    """Pages files rewritten to 0 rows, one of them or all: both runners
+    finish with the oracle's counts (all 0 when every file is empty)."""
+    from ner_backend_ray.oracle import KGConfig, run_oracle
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+    from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+
+    fx = _emptied_fixture(tiny_fixture, tmp_path, emptied)
     want = run_oracle(fx)
     counts = {n: want[n].num_rows
               for n in ("mentions", "groups", "triples", "nodes", "edges")}
@@ -439,8 +443,6 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
 
     cfg = KGConfig()
     docs = tag_pages(read_pages(fx), cfg, fx).materialize()
-    blocks = ray.get(docs.to_arrow_refs())
-    assert all(b.schema.names == DOC_SCHEMA.names for b in blocks if b.num_rows)
     tables = kg_tables(docs, cfg, fx)
     assert {n: tables[n].count() for n in counts} == counts
 
@@ -448,6 +450,27 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
     assert s["rows"] == docs.count()
     assert {n: s[n] for n in ("mentions", "triples", "nodes", "edges")} == {
         n: counts[n] for n in ("mentions", "triples", "nodes", "edges")}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: Ray's Parquet read drops a 0-row file's table, and Ray "
+    "calls no map function on an empty block, so a 0-row block without "
+    "columns reaches docs"))
+def test_empty_pages_file_leaves_no_schemaless_docs_block(ray_session,
+                                                          tiny_fixture,
+                                                          tmp_path):
+    """With one pages file at 0 rows, every docs block carries the docs
+    schema, empty blocks included."""
+    import ray
+
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.kg import read_pages, tag_pages
+    from ner_backend_ray.stages.tag import DOC_SCHEMA
+
+    fx = _emptied_fixture(tiny_fixture, tmp_path, "one_file")
+    docs = tag_pages(read_pages(fx), KGConfig(), fx).materialize()
+    blocks = ray.get(docs.to_arrow_refs())
+    assert [b.schema.names for b in blocks] == [DOC_SCHEMA.names] * len(blocks)
 
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
@@ -469,7 +492,7 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
     from ner_backend_ray.pipelines.checkpointed import (completed_partitions,
                                                         run_kg_checkpointed,
                                                         run_phase1, run_phase2)
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
 
     full_dir = str(tmp_path / "full")
     s = run_kg_checkpointed(tiny_fixture, full_dir, cfg, concurrency=2)
@@ -509,7 +532,7 @@ def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
     out = str(tmp_path / "ckpt")
-    run_kg_checkpointed(tiny_fixture, out, KGConfig(tag_concurrency=2),
+    run_kg_checkpointed(tiny_fixture, out, KGConfig(),
                         concurrency=2)
     got_t = pq.read_table(os.path.join(out, "triples"))
     want_t = oracle_result["triples"]
@@ -527,7 +550,7 @@ def test_chunked_pipeline_matches_unchunked(ray_session, tiny_fixture):
     from ner_backend_ray.pipelines.kg import read_pages, tag_pages
     from ner_backend_ray.stages.chunk import tag_chunked_pages
 
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
     whole = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     chunked = tag_chunked_pages(read_pages(tiny_fixture), cfg,
                                 max_chunk_bytes=400, concurrency=2).materialize()
@@ -583,7 +606,7 @@ def test_lineage_metrics_rollup(ray_session, tiny_fixture, tmp_path):
                                                         run_kg_checkpointed)
     import pyarrow.compute as pc
     out = str(tmp_path / "m")
-    s = run_kg_checkpointed(tiny_fixture, out, KGConfig(tag_concurrency=2), concurrency=2)
+    s = run_kg_checkpointed(tiny_fixture, out, KGConfig(), concurrency=2)
     m = lineage_metrics(out)
     assert m.num_rows == s["partitions_total"]
     assert int(pc.sum(m["triples"]).as_py()) == s["triples"]
@@ -597,7 +620,7 @@ def test_triple_precision_recall_vs_oracle(ray_session, tiny_fixture, oracle_res
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import read_pages, tag_pages, kg_tables
 
-    cfg = KGConfig(tag_concurrency=2)
+    cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
     got = _collect(kg_tables(docs, cfg, tiny_fixture)["triples"])
     cols = ["url", "subj", "pred", "obj"]
