@@ -56,11 +56,12 @@ def _warmup():
 
 
 def run_kg(sf: float) -> dict[str, int]:
-    """Run the flagship KG pipeline end-to-end (tag+link kernel tasks → explodes →
-    canonicalize → graph). Returns the table counts."""
+    """Run the flagship KG pipeline end-to-end (tag+link kernel tasks → kind
+    filters → canonicalize → graph). Returns the table counts."""
     from ner_backend_ray.fixtures.pages import pages_fixture_dir
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+    from ner_backend_ray.stages.tag import DOC, rows_of
 
     fixture_dir = pages_fixture_dir(sf)  # cached; generation not timed
     cfg = KGConfig()
@@ -68,7 +69,8 @@ def run_kg(sf: float) -> dict[str, int]:
     tables = kg_tables(docs, cfg, fixture_dir)
     counts = {name: tables[name].count()
               for name in ("mentions", "groups", "triples", "nodes", "edges")}
-    counts["docs"] = docs.count()
+    counts["docs"] = docs.map_batches(rows_of, fn_args=(DOC,),
+                                      batch_format="pyarrow").count()
     return counts
 
 

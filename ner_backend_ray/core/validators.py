@@ -25,8 +25,6 @@ _PHONE_RE = re.compile(
 _CREDIT_SCORE_RE = re.compile(rb"\b[0-9]{2,3}\b")
 _SSN_RE = re.compile(rb"(?:[0-9]{3}[- .][0-9]{2}[- .][0-9]{4}|[0-9]{9})")
 
-_ASCII_DIGITS = b"0123456789"
-
 
 def _strip_non_digits(s: bytes) -> str:
     """postprocess.go:152-160 — keep runes where unicode.IsDigit (category Nd)."""

@@ -68,8 +68,6 @@ TEMPLATES: list[dict] = [
 _T_WEIGHTS = np.array([t["w"] for t in TEMPLATES], dtype=np.float64)
 _T_WEIGHTS /= _T_WEIGHTS.sum()
 
-CUSTOM_TOKEN_RE = rb"(\w\d){3}"
-
 
 def _zipf_domain_idx(rng: np.random.Generator, n: int) -> np.ndarray:
     """Zipf-skewed domain choice (head-domain skew → hot keys)."""

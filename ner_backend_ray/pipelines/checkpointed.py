@@ -11,18 +11,20 @@ on boot, no partial-task resume). Ours is file-system-native:
   file over the *task list* dataset: each task processes one file through the
   same extract → ``TagDocs`` kernel as the streaming pipeline, built from the
   same ``tag_docs_kwargs`` once per worker process (stages/kernel.py), so
-  linking happens inside ``TagDocs`` and ``docs`` carries linked mentions and
-  triples. It writes ``{out}/{table}/part-{pid}.parquet``
-  atomically (tmp + rename) for ``docs`` and its flat explodes (``mentions``,
-  ``groups``, ``triples``), and finally ``{out}/_lineage/part-{pid}.json`` with
-  input fingerprint + row counters. A partition's outputs are a pure function of
+  linking happens inside ``TagDocs``, and the task appends the file's
+  partials to its tag output (``kg.with_partials``). It splits that union by
+  kind into ``{out}/{table}/part-{pid}.parquet``, written atomically
+  (tmp + rename): ``docs`` (url, token_count), ``mentions``, ``groups``,
+  ``triples`` and ``parts`` (LSH band rows, node partials, raw edge
+  partials), and finally ``{out}/_lineage/part-{pid}.json`` with input
+  fingerprint + row counters. A partition's outputs are a pure function of
   its input file and every write is atomic, so a retried task (its worker died)
   and a resumed run are both byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten.
-- Phase 2 (the shuffles: canonicalize, nodes, edges) reads ``{out}/docs`` into the
-  streaming pipeline's graph builder (``kg_tables``), asking it for nodes and edges
-  only, and re-runs whole; it is cheap relative to phase 1 and guarded by a
+- Phase 2 (the shuffles: canonicalize, nodes, edges) reads only ``{out}/parts``
+  into the streaming pipeline's graph builder (``kg_tables``), asking it for
+  nodes and edges, and re-runs whole; it is cheap relative to phase 1 and guarded by a
   ``_SUCCESS`` marker with the set of contributing partitions.
 """
 
@@ -42,10 +44,8 @@ import ray.data
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
 from ..stages.kernel import per_process
-from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
-from .kg import kg_tables, tag_docs_kwargs
-
-PHASE1_TABLES = ("docs", "mentions", "groups", "triples")
+from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, TagDocs, rows_of
+from .kg import combined_partials, kg_tables, tag_docs_kwargs, with_partials
 
 
 def _fingerprint(path: str) -> dict:
@@ -90,23 +90,12 @@ class PartitionWorker:
 
     def _process_file(self, path: str, pid: int) -> None:
         t0 = time.monotonic()
-        docs_parts, mention_parts, group_parts, triple_parts = [], [], [], []
-        rows = 0
-        for tbl in _file_batches(path, self.batch_size, ["url", "html", "text"]):
-            rows += tbl.num_rows
-            tbl = extract_text_batch(tbl)
-            docs = self.tagger(tbl.select(["url", "html"]))
-            docs_parts.append(docs)
-            mention_parts.append(explode_mentions(docs))
-            group_parts.append(explode_groups(docs))
-            triple_parts.append(explode_triples(docs))
-
-        tables = {
-            "docs": pa.concat_tables(docs_parts),
-            "mentions": pa.concat_tables(mention_parts),
-            "groups": pa.concat_tables(group_parts),
-            "triples": pa.concat_tables(triple_parts),
-        }
+        tagged = with_partials(pa.concat_tables([
+            self.tagger(extract_text_batch(tbl).select(["url", "html"]))
+            for tbl in _file_batches(path, self.batch_size, ["url", "html", "text"])]))
+        tables = {"docs": rows_of(tagged, DOC), "mentions": rows_of(tagged, MENTION),
+                  "groups": rows_of(tagged, GROUP), "triples": rows_of(tagged, TRIPLE),
+                  "parts": combined_partials(tagged)}
         for name, table in tables.items():
             d = os.path.join(self.out_dir, name)
             os.makedirs(d, exist_ok=True)
@@ -115,7 +104,7 @@ class PartitionWorker:
         lineage = {
             "pid": pid,
             "input": _fingerprint(path),
-            "rows": rows,
+            "rows": tables["docs"].num_rows,
             "mentions": tables["mentions"].num_rows,
             "groups": tables["groups"].num_rows,
             "triples": tables["triples"].num_rows,
@@ -176,7 +165,7 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
 
 def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> dict:
-    """Shuffle phase over the phase-1 ``docs`` Parquet: nodes + edges, sorted,
+    """Shuffle phase over the phase-1 ``parts`` Parquet: nodes + edges, sorted,
     written with a _SUCCESS marker recording the contributing partitions. Each
     run replaces the graph tables whole, so a re-run after more partitions
     completed does not append to the previous graph."""
@@ -188,10 +177,10 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
             if json.load(f).get("partitions") == done:
                 return {"skipped": True}
 
-    docs = ray.data.read_parquet(os.path.join(out_dir, "docs"))
+    parts = ray.data.read_parquet(os.path.join(out_dir, "parts"))
     os.makedirs(os.path.dirname(marker), exist_ok=True)
     counts = {}
-    for name, ds in kg_tables(docs, cfg, fixture_dir,
+    for name, ds in kg_tables(parts, cfg, fixture_dir,
                               tables=("nodes", "edges")).items():
         ds.write_parquet(os.path.join(out_dir, "graph", name), mode="overwrite")
         counts[name] = ds.count()

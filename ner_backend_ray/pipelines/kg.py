@@ -6,22 +6,25 @@
           [extract: stateless, byte-identity invariant; TagDocs: ONE kernel,
            clean→tag→validate→coalesce→groups→triples→link per doc,
            cfg.batch_size docs per call, model + alias dict loaded once per
-           worker process]
-      → kg_tables(docs)                           [the graph builder below]
+           worker process; the task appends the block's partials]
+      → kg_tables(tagged)                         [the graph builder below]
 
-``kg_tables`` is the only graph builder. The streaming runner feeds it the
-materialized docs dataset; the checkpointed runner (pipelines/checkpointed.py)
-feeds it the phase-1 ``docs/`` Parquet, built by the same ``TagDocs`` kernel
-with the same ``tag_docs_kwargs``. The builder is a declared table of stages,
-name → (deps, lane, fn), and one small scheduler (``_run_stages``) runs the
-ancestors of the requested tables, each on its lane's threads once its deps
-are done:
+The tag task emits ONE flat table per block in the union layout of
+stages/tag.py: a ``kind`` column plus null-padded typed columns, holding doc
+rows (url, token_count), linked mention rows, triple rows and group rows,
+then the block's LSH band rows, node partials and raw edge partials
+(``with_partials``). ``kg_tables`` is the only graph builder. The streaming
+runner feeds it the materialized tag output; the checkpointed runner
+(pipelines/checkpointed.py) feeds it the phase-1 ``parts/`` Parquet, built
+by the same ``TagDocs`` kernel with the same ``tag_docs_kwargs`` and the
+same ``with_partials``. The builder is a declared table of stages, name →
+(deps, fn), and one small scheduler (``_run_stages``) runs the ancestors of
+the requested tables, each once its deps are done:
 
-    parts      docs  → ONE combined-partials scan (LSH band rows, node
-                       partials, raw-key edge partials, group rows)
-    mentions   docs  → flat linked mentions
-    triples    docs  → flat linked triples
-    groups     parts → (url, group_name)
+    parts      tagged → the partial rows (``combined_partials``), compacted
+    mentions   tagged → linked mention rows (a kind filter)
+    triples    tagged → linked triple rows (a kind filter)
+    groups     tagged → (url, group_name) (a kind filter)
     root_map   parts → MinHash-LSH root map: a broadcast dict under the
                        budget, a (node, root) star-forest Dataset above it
     nodes_pre  parts + root_map → node partials with canonical_id, sorted
@@ -59,18 +62,13 @@ from ..stages.canonicalize import (LSH_BANDS, bucket_pairs, canonical_id,
                                    lsh_band_arrays, partial_node_counts)
 from ..stages.extract import extract_text_batch
 from ..stages.kernel import per_process
-from ..stages.tag import TagDocs, explode_groups, explode_mentions, explode_triples
+from ..stages.tag import (BAND, DOC, EDGE, GROUP, KIND_COLUMNS, MENTION, NODE,
+                          TRIPLE, UNION_SCHEMA, TagDocs, rows_of, union_of)
 
 
 # Pair-count budget for driver-side union-find; above it, near-dup cluster
 # resolution runs as distributed connected components (ops/cc.py).
 _CC_BUDGET = 500_000
-# From this cluster width on, one docs scan saturates memory bandwidth, so the
-# scan lane runs the three docs scans one at a time (measured at 32 CPUs,
-# sf0.8: mentions 2.4 s alone vs 7.7 s beside triples; graph phase 13.6 s
-# overlapped vs 10.9 s serialized). Below it one scan can't fill the cluster
-# and overlap wins (6.0 s at 8 CPUs).
-_SERIAL_SCAN_CPUS = 16
 KG_TABLES = ("mentions", "groups", "triples", "nodes", "edges", "key_map")
 
 
@@ -123,7 +121,9 @@ def tag_docs_kwargs(cfg: KGConfig, fixture_dir: str) -> dict:
 
 
 def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.data.Dataset:
-    """pages → per-doc nested dataset (url, token_count, mentions, groups, triples).
+    """pages → the tag output: one union-layout table per read block
+    (stages/tag.py) holding the block's doc, mention, triple and group rows
+    and, built from them in the same task, its partials (``with_partials``).
 
     Tagging and entity linking are FUSED into one ``TagDocs`` kernel: the alias
     dictionary is load-once state exactly like the model weights
@@ -136,13 +136,15 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     Read, extract and tag run as ONE operator, one task per read block (when
     the read splits no file, see ``read_pages``): the tag map takes whole
     blocks (``batch_size=None``) and feeds the kernel ``cfg.batch_size``
-    docs per call. A block split on the read, or a ``batch_size`` or a
-    ``concurrency`` on this map (Ray fuses two task maps only when their
-    concurrency caps match, and the read sets none), makes Ray Data plan
-    read and tag as two operators with a queue and a CPU reservation
-    between them, and the tag stage then ran 1.3–1.6 tasks wide
-    on 4 CPUs (fused: 2.2–2.5). This is inference fused with the scan that
-    feeds it (ICDE 2025, "Machine Learning Inference Pipeline Execution
+    docs per call; the partials are built once per block, over the
+    concatenated calls, so they do not depend on ``cfg.batch_size``. A
+    block split on the read, or a ``batch_size`` or a ``concurrency`` on
+    this map (Ray fuses two task maps only when their concurrency caps
+    match, and the read sets none), makes Ray Data plan read and tag as two
+    operators with a queue and a CPU reservation between them, and the tag
+    stage then ran 1.3–1.6 tasks wide on 4 CPUs (fused: 2.2–2.5). This is
+    inference fused with the scan that feeds it and with the combiners that
+    consume it (ICDE 2025, "Machine Learning Inference Pipeline Execution
     Using Pure SQL Based on Operator Fusion")."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
@@ -153,8 +155,8 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     step = cfg.batch_size
 
     def tag_block(block: pa.Table) -> pa.Table:
-        return pa.concat_tables([kernel(block.slice(i, step))
-                                 for i in range(0, block.num_rows, step)])
+        return with_partials(pa.concat_tables(
+            [kernel(block.slice(i, step)) for i in range(0, block.num_rows, step)]))
 
     tag_block.__name__ = kernel.__name__
     return ds.map_batches(tag_block, batch_size=None, batch_format="pyarrow",
@@ -235,35 +237,33 @@ def _join_star_roots(ds: ray.data.Dataset, key_col: str,
                             n_buckets=max(16, _cluster_cpus()), how="left")
 
 
-def _rooted(parts: ray.data.Dataset, kind: int, cols: list[str], kernel,
-            roots, keys: list[str]) -> ray.data.Dataset:
-    """``kernel`` over the ``kind`` rows (``cols``) of ``parts`` with the
+def _rooted(parts: ray.data.Dataset, kind: int, kernel, roots,
+            keys: list[str]) -> ray.data.Dataset:
+    """``kernel`` over the ``kind`` rows of ``parts`` with the
     roots of their ``keys`` columns: ``roots`` is the star-forest Dataset
     (joined in as columns) or the broadcast dict's ObjectRef (passed to the
     kernel). On the broadcast path the row filter and the kernel are ONE
     function: as two fused map functions, the kernel never sees a block the
     filter emptied, and its task emits a schema-less block in its place."""
     if isinstance(roots, ray.data.Dataset):
-        ds = _of_kind(parts, kind, cols)
+        ds = parts.map_batches(rows_of, fn_args=(kind,), batch_format="pyarrow")
         for key in keys:
             ds = _join_star_roots(ds, key, roots)
         return ds.map_batches(kernel, batch_format="pyarrow")
     return parts.map_batches(
-        lambda b, root_map: kernel(_kind_rows(b, kind, cols), root_map),
+        lambda b, root_map: kernel(rows_of(b, kind), root_map),
         batch_format="pyarrow", fn_kwargs={"root_map": roots})
 
 
 # ---------------------------------------------------------------------------
-# the combined-partials scan: one pass over docs, a discriminated union
+# the partials: built in the tag task, one set per block
 # ---------------------------------------------------------------------------
 
-def _band_rows(batch: pa.Table) -> pa.Table:
-    """LSH band rows straight from the per-doc dataset: the distinct surf:
-    keys of each batch (cross-batch duplicates are deduped in bucket_pairs),
-    so the root map has no dependency on the mentions/nodes chain."""
-    keys_arr = pc.struct_field(
-        pc.list_flatten(batch["mentions"].combine_chunks()), "entity_key")
-    u = keys_arr.unique()
+def _band_rows(mentions: pa.Table) -> pa.Table:
+    """LSH band rows of the distinct surf: keys of ``mentions`` (cross-block
+    duplicates are deduped in bucket_pairs), so the root map has no
+    dependency on the mentions/nodes chain."""
+    u = mentions["entity_key"].unique()
     surf = u.filter(pc.starts_with(u, "surf:"))
     # "surf:" is ASCII so codeunit slicing == byte slicing here
     bands, hashes = lsh_band_arrays(pc.utf8_slice_codeunits(surf, 5).to_pylist())
@@ -274,63 +274,42 @@ def _band_rows(batch: pa.Table) -> pa.Table:
                      "band_hash": pa.array(hashes.ravel(), pa.int64())})
 
 
-def _raw_edge_partials(batch: pa.Table) -> pa.Table:
-    """Fused explode+combiner over RAW entity keys: one row per distinct
-    (subj_key, pred, obj_key) of the batch with its count. It needs no
-    broadcast state, so it runs in the partials scan; the canonical-root
-    mapping and the local re-aggregation come later, per block of these
-    partials (``canonicalize_edge_partials``), and the exact merge per
-    partition of the edge sort. Only (keys, partial weight) rows shuffle."""
-    t = explode_triples(batch).select(["subj_key", "pred", "obj_key"])
-    return t.group_by(["subj_key", "pred", "obj_key"]).aggregate(
-        [([], "count_all")]).rename_columns(
-        ["subj_key", "pred", "obj_key", "partial_weight"])
+def _raw_edge_partials(triples: pa.Table) -> pa.Table:
+    """Combiner over RAW entity keys: one row per distinct (subj_key, pred,
+    obj_key) of ``triples`` with its count. It needs no broadcast state, so
+    it runs in the tag task; the canonical-root mapping and the local
+    re-aggregation come later, per block of these partials
+    (``canonicalize_edge_partials``), and the exact merge per partition of
+    the edge sort. Only (keys, partial weight) rows shuffle."""
+    by = ["subj_key", "pred", "obj_key"]
+    return triples.group_by(by).aggregate([([], "count_all")]).rename_columns(
+        by + ["partial_weight"])
 
 
-_UNION_FIELDS = [
-    ("kind", pa.int8()), ("entity_key", pa.string()),
-    ("band", pa.int32()), ("band_hash", pa.int64()),
-    ("label", pa.string()), ("surface", pa.string()),
-    ("partial_count", pa.int64()),
-    ("subj_key", pa.string()), ("pred", pa.string()),
-    ("obj_key", pa.string()), ("partial_weight", pa.int64()),
-    ("url", pa.string()), ("group_name", pa.string()),
-]
+def with_partials(tagged: pa.Table) -> pa.Table:
+    """``TagDocs`` rows of one block (or, checkpointed, one file) plus their
+    LSH band rows, node partials and raw edge partials, pre-aggregated at
+    the producer (eager aggregation, Yan & Larson, VLDB 1995): the graph
+    phase then scans no docs, and the shuffles move partials, not
+    mentions."""
+    mentions = rows_of(tagged, MENTION)
+    return pa.concat_tables([
+        tagged, union_of(BAND, _band_rows(mentions)),
+        union_of(NODE, partial_node_counts(mentions)),
+        union_of(EDGE, _raw_edge_partials(rows_of(tagged, TRIPLE)))])
+
+
+_PARTS_COLUMNS = [f.name for f in UNION_SCHEMA if f.name == "kind" or any(
+    f.name in KIND_COLUMNS[k] for k in (BAND, NODE, EDGE))]
 
 
 def combined_partials(batch: pa.Table) -> pa.Table:
-    """The three combiner chains (LSH band rows, node partials, raw edge
-    partials) plus the group rows as ONE scan of docs emitting a
-    discriminated union (kind + null-padded columns). Three separate scans
-    meant three streaming executors contending for the driver GIL and
-    re-reading every block; the root-map groupby and the two output sorts
-    run over the compacted, materialized union instead (a handful of
-    blocks), so their driver cost does not track the docs block count."""
-    outs = []
-    for kind, t in ((0, _band_rows(batch)),
-                    (1, partial_node_counts(explode_mentions(batch))),
-                    (2, _raw_edge_partials(batch)),
-                    (3, explode_groups(batch))):
-        n = t.num_rows
-        cols = {}
-        for name, typ in _UNION_FIELDS:
-            if name == "kind":
-                cols[name] = pa.array(np.full(n, kind, np.int8), typ)
-            elif name in t.column_names:
-                cols[name] = t[name].cast(typ)
-            else:
-                cols[name] = pa.nulls(n, typ)
-        outs.append(pa.table(cols))
-    return pa.concat_tables(outs)
-
-
-def _kind_rows(batch: pa.Table, kind: int, cols: list[str]) -> pa.Table:
-    return batch.filter(pc.equal(batch["kind"], kind)).select(cols)
-
-
-def _of_kind(parts: ray.data.Dataset, kind: int, cols: list[str]) -> ray.data.Dataset:
-    return parts.map_batches(lambda b: _kind_rows(b, kind, cols),
-                             batch_format="pyarrow")
+    """The partial rows (LSH bands, node partials, raw edge partials) of the
+    tag output, with only their columns: the ``parts`` stage compacts these
+    and the root-map groupby and the two output sorts run over them (a
+    handful of blocks), so their driver cost does not track the docs block
+    count. Checkpointed phase 1 writes the same rows as ``parts/``."""
+    return batch.filter(pc.greater_equal(batch["kind"], BAND)).select(_PARTS_COLUMNS)
 
 
 def _root_map(parts: ray.data.Dataset):
@@ -341,7 +320,7 @@ def _root_map(parts: ray.data.Dataset):
     union-finds on the driver, above it (template-heavy corpora) it runs
     distributed connected components."""
     from ..ops.cc import resolve_roots_or_stars
-    pairs = (_of_kind(parts, 0, ["entity_key", "band", "band_hash"])
+    pairs = (parts.map_batches(rows_of, fn_args=(BAND,), batch_format="pyarrow")
              .groupby(["band", "band_hash"])
              .map_groups(bucket_pairs, batch_format="pyarrow"))
     roots = resolve_roots_or_stars(pairs, "entity_key", "root", budget=_CC_BUDGET)
@@ -450,14 +429,11 @@ def _merge_edge_block(block: pa.Table) -> pa.Table:
                                "weight"]).cast(_EDGE_SCHEMA)
 
 
-def _run_stages(stages: dict, want, lanes: dict[str, int],
-                timings: dict | None = None) -> dict:
-    """Run the ancestors of ``want`` in ``stages`` (name → (deps, lane, fn),
-    declared in dependency order): each stage runs on its lane's thread pool
-    once its deps are done, ``fn`` receiving their results in order. Records
-    every stage's completion offset in seconds from the start into
-    ``timings``. Submission in declared order keeps a one-thread lane FIFO in
-    dependency order, so a stage never waits on one queued behind it."""
+def _run_stages(stages: dict, want, timings: dict | None = None) -> dict:
+    """Run the ancestors of ``want`` in ``stages`` (name → (deps, fn)), each
+    on its own thread once its deps are done, ``fn`` receiving their results
+    in order. Records every stage's completion offset in seconds from the
+    start into ``timings``."""
     need, todo = set(), list(want)
     while todo:
         name = todo.pop()
@@ -473,80 +449,71 @@ def _run_stages(stages: dict, want, lanes: dict[str, int],
             timings[name] = round(time.time() - t0, 2)
         return out
 
-    pools = {lane: ThreadPoolExecutor(max_workers=n) for lane, n in lanes.items()}
+    pool = ThreadPoolExecutor(max_workers=len(need))
     try:
-        for name, (deps, lane, fn) in stages.items():
+        for name, (deps, fn) in stages.items():
             if name in need:
-                futures[name] = pools[lane].submit(run, name, deps, fn)
+                futures[name] = pool.submit(run, name, deps, fn)
         return {name: futures[name].result() for name in want}
     finally:
-        for pool in pools.values():
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
-def kg_tables(docs: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
+def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
               timings: dict | None = None,
               tables=KG_TABLES) -> dict[str, ray.data.Dataset]:
-    """Per-doc nested dataset (linked, as ``TagDocs`` emits it) → the
-    requested ``tables`` of {mentions, groups, triples, nodes, edges,
-    key_map}, running only the stages they need. ``docs`` should be
-    materialized or Parquet-backed (up to three stages scan it). ``cfg`` and
-    ``fixture_dir`` name the run the docs came from; the graph needs neither,
-    because linking happened in the tag kernel.
+    """The tag output in the union layout (``tag_pages``; or, checkpointed,
+    just its partial rows) → the requested ``tables`` of {mentions, groups,
+    triples, nodes, edges, key_map}, running only the stages they need.
+    ``tagged`` should be materialized or Parquet-backed (up to four stages
+    filter it). ``cfg`` and ``fixture_dir`` name the run it came from; the
+    graph needs neither, because linking happened in the tag kernel.
 
-    The tag stage itself is NOT overlapped with anything: it saturates the
-    CPUs and concurrent executions only contend (measured). Its consumers
-    run on two lanes: the docs scans, each materializing a multi-GB output on
-    a big corpus, on the "scan" lane (``parts`` first, since nodes and edges
-    wait on it), and the small chains over the compacted partials on the
-    "chain" lane, always overlapped. The graph phase has four shuffles:
-    the ``parts`` compaction, the root-map groupby, and one sort per output,
-    which both groups it (equal keys share a partition) and orders it. The
-    docs hold one block per read block (Ray Data's default read
-    parallelism), and ``parts`` is compacted to ``_compact_small()`` blocks
-    before the groupby and the sorts, so every shuffle input is
-    block-count-bounded; all combiner partials are vectorized Arrow kernels.
+    No stage scans docs: ``mentions``, ``triples`` and ``groups`` are kind
+    filters, and ``parts`` is the partial rows the tag task built, compacted
+    to ``_compact_small()`` blocks. The graph phase has four shuffles: that
+    compaction, the root-map groupby, and one sort per output, which both
+    groups it (equal keys share a partition) and orders it. Every stage
+    runs as soon as its deps are done; all combiner partials are vectorized
+    Arrow kernels. The tag stage itself is not overlapped with these: it
+    saturates the CPUs and concurrent executions only contend (measured).
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""
+    def of_kind(kind):
+        return tagged.map_batches(rows_of, fn_args=(kind,),
+                                  batch_format="pyarrow").materialize()
+
     # sort's range partitioner never splits equal keys, so each block holds
     # complete canonical_id (triple-key) groups and the merge is one
     # vectorized Arrow kernel per block — no per-group Python dispatch; the
     # output stays globally key-ordered (tests/test_pipeline_ray.py asserts it)
     stages = {
-        "parts": ((), "scan", lambda: (
-            docs.map_batches(combined_partials, batch_format="pyarrow")
+        "parts": ((), lambda: (
+            tagged.map_batches(combined_partials, batch_format="pyarrow")
             .repartition(_compact_small()).materialize())),
-        "mentions": ((), "scan", lambda: (
-            docs.map_batches(explode_mentions, batch_format="pyarrow")
-            .materialize())),
-        "triples": ((), "scan", lambda: (
-            docs.map_batches(explode_triples, batch_format="pyarrow")
-            .materialize())),
-        "groups": (("parts",), "chain", lambda parts: (
-            _of_kind(parts, 3, ["url", "group_name"]).materialize())),
-        "root_map": (("parts",), "chain", _root_map),
-        "nodes_pre": (("parts", "root_map"), "chain", lambda parts, roots: (
-            _rooted(parts, 1, ["entity_key", "label", "surface", "partial_count"],
-                    canonicalize_nodes, roots, ["entity_key"])
+        "mentions": ((), lambda: of_kind(MENTION)),
+        "triples": ((), lambda: of_kind(TRIPLE)),
+        "groups": ((), lambda: of_kind(GROUP)),
+        "root_map": (("parts",), _root_map),
+        "nodes_pre": (("parts", "root_map"), lambda parts, roots: (
+            _rooted(parts, NODE, canonicalize_nodes, roots, ["entity_key"])
             .sort("canonical_id").materialize())),
-        "key_map": (("nodes_pre",), "chain", lambda pre: (
+        "key_map": (("nodes_pre",), lambda pre: (
             pre.map_batches(_key_pairs, batch_format="pyarrow",
                             batch_size=None))),
-        "nodes": (("nodes_pre",), "chain", lambda pre: (
+        "nodes": (("nodes_pre",), lambda pre: (
             pre.map_batches(_merge_node_block, batch_format="pyarrow",
                             batch_size=None).materialize())),
-        "edges": (("parts", "root_map"), "chain", lambda parts, roots: (
-            _rooted(parts, 2, ["subj_key", "pred", "obj_key", "partial_weight"],
-                    canonicalize_edge_partials, roots, ["subj_key", "obj_key"])
+        "edges": (("parts", "root_map"), lambda parts, roots: (
+            _rooted(parts, EDGE, canonicalize_edge_partials, roots,
+                    ["subj_key", "obj_key"])
             .sort(["subj_id", "pred", "obj_id"])
             .map_batches(_merge_edge_block, batch_format="pyarrow",
                          batch_size=None)
             .materialize())),
     }
-    lanes = {"scan": 1 if _cluster_cpus() >= _SERIAL_SCAN_CPUS else 3,
-             "chain": 8}
-    return _run_stages(stages, tables, lanes, timings)
+    return _run_stages(stages, tables, timings)
 
 
 def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
@@ -555,8 +522,8 @@ def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
     given, writes each table to ``{out_dir}/{name}``, replacing what a
     previous run left there."""
     cfg = cfg or KGConfig()
-    docs = tag_pages(read_pages(fixture_dir), cfg, fixture_dir).materialize()
-    tables = kg_tables(docs, cfg, fixture_dir)
+    tagged = tag_pages(read_pages(fixture_dir), cfg, fixture_dir).materialize()
+    tables = kg_tables(tagged, cfg, fixture_dir)
 
     summary: dict[str, int] = {}
     for name in ("mentions", "groups", "triples", "nodes", "edges"):
@@ -565,5 +532,6 @@ def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
             ds = ds.materialize()
             ds.write_parquet(os.path.join(out_dir, name), mode="overwrite")
         summary[name] = ds.count()
-    summary["docs"] = docs.count()
+    summary["docs"] = tagged.map_batches(rows_of, fn_args=(DOC,),
+                                         batch_format="pyarrow").count()
     return summary

@@ -45,7 +45,7 @@ from ..ops.joins import (_bucket_of, asof_join, bucket_hash_join,
 from ..ops.textstats import fingerprint_batch, quality_features
 from ..ops.window import session_windows, sliding_window, tumbling_window
 from ..stages.kernel import per_process
-from ..stages.tag import TagDocs, explode_groups, explode_mentions
+from ..stages.tag import GROUP, MENTION, TagDocs, rows_of
 from .kg import (_cluster_cpus, _edge_buckets, kg_tables, read_pages,
                  tag_pages)
 
@@ -413,26 +413,23 @@ def q_regex_mention_runs(sf_dir: str):
     """Coalesced mention count per (doc, label) — adjacent same-label matches with
     byte gap <=1 merge (processor.go:519-554), which SQL mirrors as runs of
     space-separated tokens."""
-    flat = _tag_documents(sf_dir).map_batches(explode_mentions,
-                                              batch_format="pyarrow")
-    return combine_by(
-        flat, ["doc_id", "label"],
-        lambda b: pa.table({"doc_id": b["url"].cast(pa.int64()),
-                            "label": b["label"]}),
-        {"n_runs": (None, "count")})
+    def ids(batch: pa.Table) -> pa.Table:
+        m = rows_of(batch, MENTION)
+        return pa.table({"doc_id": m["url"].cast(pa.int64()), "label": m["label"]})
+
+    return combine_by(_tag_documents(sf_dir), ["doc_id", "label"], ids,
+                      {"n_runs": (None, "count")})
 
 
 def q_dsl_groups(sf_dir: str):
     """Group-query DSL (query_parser.go grammar) evaluated per doc on the
     pre-coalesce label map (processor.go:649-658)."""
-    tagged = _tag_documents(sf_dir)
-    flat = tagged.map_batches(explode_groups, batch_format="pyarrow")
-
     def to_ids(batch: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": batch["url"].cast(pa.int64()),
-                         "group_name": batch["group_name"]})
+        g = rows_of(batch, GROUP)
+        return pa.table({"doc_id": g["url"].cast(pa.int64()),
+                         "group_name": g["group_name"]})
 
-    return flat.map_batches(to_ids, batch_format="pyarrow")
+    return _tag_documents(sf_dir).map_batches(to_ids, batch_format="pyarrow")
 
 
 def q_embedding_pairs_exact(sf_dir: str):

@@ -19,7 +19,9 @@ Ray form:
 3. ``assemble_docs`` — groupby("url").map_groups: reassemble the document text,
    then the object-level tail of the reference chain: excluded/allowlist drop,
    FilterEntities, group queries, coalesce — identical code to the unchunked
-   path (core/inference.py), so chunked and unchunked runs agree.
+   path (core/inference.py), so chunked and unchunked runs agree. Each doc
+   leaves as doc, mention and group rows of the tag output's union layout,
+   built by the same row builder as ``TagDocs`` (stages/tag.py).
 """
 
 from __future__ import annotations
@@ -33,18 +35,9 @@ from ..core.entity import Entity, to_valid_utf8
 from ..core.inference import count_tokens
 from ..core.validators import filter_entities
 from .kernel import per_process
+from .tag import UNION_SCHEMA, tagged_rows
 
 _WS = b" \t\n\r\x0b\x0c"
-
-
-def assembled_doc_schema() -> pa.Schema:
-    """Output schema of the per-doc assemble fn / ``tag_chunked_pages`` rows
-    (lazy import: tag.py imports this module's splitters)."""
-    from .tag import MENTION_TYPE
-    return pa.schema([("url", pa.string()),
-                      ("token_count", pa.int64()),
-                      ("mentions", pa.list_(MENTION_TYPE)),
-                      ("groups", pa.list_(pa.string()))])
 
 
 def split_into_chunks(text: bytes, max_chunk_bytes: int) -> list[tuple[int, bytes]]:
@@ -59,8 +52,7 @@ def split_into_chunks(text: bytes, max_chunk_bytes: int) -> list[tuple[int, byte
         end = min(pos + max_chunk_bytes, n)
         if end < n:
             cut = end
-            while cut > pos and text[cut - 1:cut] not in (
-                    b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"):
+            while cut > pos and text[cut - 1] not in _WS:
                 cut -= 1
             if cut > pos:
                 end = cut
@@ -132,10 +124,9 @@ class PredictChunks:
 def make_assemble_docs(tags: set[str] | None, custom_names: set[str],
                        group_queries: dict[str, str] | None):
     """Build the per-doc map_groups fn: reassemble text, run the object-level
-    tail (filter → excluded/allowlist → groups → coalesce), emit the same nested
-    doc row as the unchunked TagDocs stage."""
+    tail (filter → excluded/allowlist → groups → coalesce), emit the doc's
+    rows through the unchunked TagDocs stage's row builder."""
     from ..core.dsl import parse_query
-    from .tag import MENTION_TYPE
 
     groups = {name: parse_query(q) for name, q in (group_queries or {}).items()}
 
@@ -174,24 +165,21 @@ def make_assemble_docs(tags: set[str] | None, custom_names: set[str],
         def _d(b: bytes) -> str:
             return b.decode("utf-8", "ignore")
 
-        rows = [{"start": m.start, "end": m.end, "label": m.label,
+        rows = [{"url": url, "start": m.start, "end": m.end, "label": m.label,
                  "text": _d(m.text), "lcontext": _d(m.lcontext),
                  "rcontext": _d(m.rcontext), "is_custom": m.label in custom_names}
                 for m in mentions]
-        return pa.table({
-            "url": pa.array([url], pa.string()),
-            "token_count": pa.array([count_tokens(text)], pa.int64()),
-            "mentions": pa.array([rows], pa.list_(MENTION_TYPE)),
-            "groups": pa.array([matched], pa.list_(pa.string())),
-        })
+        return tagged_rows([{"url": url, "token_count": count_tokens(text)}],
+                           rows, [], [{"url": url, "group_name": g} for g in matched])
 
     return assemble
 
 
 def tag_chunked_pages(pages, cfg, max_chunk_bytes: int = 1 << 20,
                       concurrency: int | None = None):
-    """pages → per-doc nested dataset via the chunked path (same output contract
-    as tag_pages minus triples/linking, which compose downstream).
+    """pages → the tag output via the chunked path: union-layout doc,
+    mention and group rows, as ``TagDocs`` emits them unlinked and without
+    triples (``tag_pages`` adds linking, triples and the partials).
     ``concurrency`` caps the concurrent predict tasks."""
     chunks = pages.map_batches(
         lambda b: explode_chunks(b, max_chunk_bytes=max_chunk_bytes),
@@ -218,13 +206,11 @@ def tag_chunked_pages(pages, cfg, max_chunk_bytes: int = 1 << 20,
         return batch.append_column("__b", _bucket_of(batch["url"],
                                                      n_buckets))
 
-    empty_doc_schema = assembled_doc_schema()
-
     def assemble_bucket(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             # assemble() indexes row 0, so an empty group needs a typed
             # empty table with its output schema, not a call into it
-            return empty_doc_schema.empty_table()
+            return UNION_SCHEMA.empty_table()
         idx = pc.sort_indices(g, sort_keys=[("url", "ascending")])
         t = g.take(idx).drop_columns(["__b"])
         urls = np.asarray(t["url"].to_pylist(), dtype=object)

@@ -5,8 +5,9 @@ The analog of the reference's per-task inference loop
 process in ``__init__`` (the reference downloads + loads per task,
 processor.go:408-436; a per-process kernel amortizes strictly better), then
 each Arrow batch of pages runs the per-document chain (core/inference.py) and
-emits one row per document with nested mentions/groups — downstream stateless
-stages explode those into flat tables.
+emits one flat table in the union layout below: a doc row (url, token_count)
+plus the doc's mention, triple and group rows, told apart by ``kind``.
+Consumers take the rows of one kind with ``rows_of``.
 
 Usage: ``pipelines/kg.py::tag_pages`` runs the kernel over whole read blocks,
 ``KGConfig.batch_size`` docs per call, so the read fuses into the tag task
@@ -18,40 +19,74 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core.dsl import parse_query
 from ..core.inference import run_inference_on_doc
 
-MENTION_TYPE = pa.struct([
+# The one layout of the tag output: a ``kind`` column plus typed columns,
+# null where a row's kind has no such field. ``TagDocs`` emits the first four
+# kinds; pipelines/kg.py::with_partials appends the last three. Consumers take
+# a kind's rows with ``rows_of`` and never build a layout of their own.
+DOC, MENTION, TRIPLE, GROUP, BAND, NODE, EDGE = range(7)
+
+UNION_SCHEMA = pa.schema([
+    ("kind", pa.int8()), ("url", pa.string()), ("token_count", pa.int64()),
     ("start", pa.int64()), ("end", pa.int64()), ("label", pa.string()),
     ("text", pa.string()), ("lcontext", pa.string()), ("rcontext", pa.string()),
-    ("is_custom", pa.bool_()),
-])
-
-# when TagDocs is given an alias_path the link step is fused into the tag kernel
-# (one stage, one pass — the dictionary is load-once state exactly like the model)
-LINKED_MENTION_TYPE = pa.struct(list(MENTION_TYPE) + [
-    ("entity_key", pa.string()), ("candidate_id", pa.string()),
-    ("link_score", pa.float64()),
-])
-
-TRIPLE_TYPE = pa.struct([
+    ("is_custom", pa.bool_()), ("entity_key", pa.string()),
+    ("candidate_id", pa.string()), ("link_score", pa.float64()),
     ("subj", pa.string()), ("pred", pa.string()), ("obj", pa.string()),
     ("subj_label", pa.string()), ("obj_label", pa.string()),
-])
-
-LINKED_TRIPLE_TYPE = pa.struct(list(TRIPLE_TYPE) + [
     ("subj_key", pa.string()), ("obj_key", pa.string()),
+    ("group_name", pa.string()), ("band", pa.int32()), ("band_hash", pa.int64()),
+    ("surface", pa.string()), ("partial_count", pa.int64()),
+    ("partial_weight", pa.int64()),
 ])
 
-DOC_SCHEMA = pa.schema([
-    ("url", pa.string()),
-    ("token_count", pa.int64()),
-    ("mentions", pa.list_(MENTION_TYPE)),
-    ("groups", pa.list_(pa.string())),
-    ("triples", pa.list_(TRIPLE_TYPE)),
-])
+# each kind's columns, in the order ``rows_of`` hands them out; mention and
+# triple rows carry the linked fields when TagDocs links (null otherwise)
+KIND_COLUMNS = {
+    DOC: ["url", "token_count"],
+    MENTION: ["url", "start", "end", "label", "text", "lcontext", "rcontext",
+              "is_custom", "entity_key", "candidate_id", "link_score"],
+    TRIPLE: ["url", "subj", "pred", "obj", "subj_label", "obj_label",
+             "subj_key", "obj_key"],
+    GROUP: ["url", "group_name"],
+    BAND: ["entity_key", "band", "band_hash"],
+    NODE: ["entity_key", "label", "surface", "partial_count"],
+    EDGE: ["subj_key", "pred", "obj_key", "partial_weight"],
+}
+
+
+def union_of(kind: int, rows) -> pa.Table:
+    """``rows`` of one ``kind`` in the union layout. ``rows`` is a table of
+    (some of) that kind's columns, or a list of dicts of them; a column or
+    key that is absent is null."""
+    if not isinstance(rows, pa.Table):
+        rows = pa.Table.from_struct_array(pa.array(
+            rows, pa.struct([UNION_SCHEMA.field(c) for c in KIND_COLUMNS[kind]])))
+    n = rows.num_rows
+    cols = [pa.array(np.full(n, kind, np.int8))]
+    for f in list(UNION_SCHEMA)[1:]:
+        cols.append(rows[f.name].cast(f.type) if f.name in rows.column_names
+                    else pa.nulls(n, f.type))
+    return pa.table(cols, schema=UNION_SCHEMA)
+
+
+def tagged_rows(docs: list[dict], mentions: list[dict], triples: list[dict],
+                groups: list[dict]) -> pa.Table:
+    """The row builder of ``TagDocs`` and of the chunked path's assemble
+    (stages/chunk.py): each kind's rows as dicts → one union table."""
+    return pa.concat_tables([union_of(DOC, docs), union_of(MENTION, mentions),
+                             union_of(TRIPLE, triples), union_of(GROUP, groups)])
+
+
+def rows_of(union: pa.Table, kind: int) -> pa.Table:
+    """The ``kind`` rows of a union table, with that kind's columns."""
+    return union.filter(pc.equal(union["kind"], kind)).select(KIND_COLUMNS[kind])
 
 
 def _decode(b: bytes) -> str:
@@ -95,10 +130,10 @@ class TagDocs:
         from .triples import extract_triples_from_doc
 
         custom_names = set(self.custom)
-        out_tokens: list[int] = []
-        out_mentions: list[list[dict]] = []
-        out_groups: list[list[str]] = []
-        out_triples: list[list[dict]] = []
+        out_docs: list[dict] = []
+        out_mentions: list[dict] = []
+        out_groups: list[dict] = []
+        out_triples: list[dict] = []
         # batch-scoped memoized linker: normalization + dict lookup run once
         # per distinct (surface, label) in the batch, repeats are dict hits
         link = self.aliases.batch_linker() if self.aliases is not None else None
@@ -107,14 +142,14 @@ class TagDocs:
         # per-doc path (tests/test_core.py::test_predict_batch_equals_predict)
         predict_batch = getattr(self.model, "predict_batch", None)
         batch_entities = predict_batch(texts) if predict_batch is not None else None
-        for di, text in enumerate(texts):
+        for di, (url, text) in enumerate(zip(urls, texts)):
             res = run_inference_on_doc(
                 text, self.model, self.tags, self.custom, self.groups,
                 precomputed_entities=None if batch_entities is None
                 else batch_entities[di])
-            out_tokens.append(res.token_count)
+            out_docs.append({"url": url, "token_count": res.token_count})
             mentions = [
-                {"start": m.start, "end": m.end, "label": m.label,
+                {"url": url, "start": m.start, "end": m.end, "label": m.label,
                  "text": _decode(m.text), "lcontext": _decode(m.lcontext),
                  "rcontext": _decode(m.rcontext), "is_custom": m.label in custom_names}
                 for m in res.mentions
@@ -125,68 +160,17 @@ class TagDocs:
                     m["entity_key"] = key
                     m["candidate_id"] = cand
                     m["link_score"] = score
-            out_mentions.append(mentions)
-            out_groups.append(res.groups)
+            out_mentions.extend(mentions)
+            out_groups.extend({"url": url, "group_name": g} for g in res.groups)
             if self.emit_triples:
                 triples = [
-                    {"subj": s, "pred": p, "obj": o, "subj_label": sl, "obj_label": ol}
+                    {"url": url, "subj": s, "pred": p, "obj": o,
+                     "subj_label": sl, "obj_label": ol}
                     for (s, p, o, sl, ol) in extract_triples_from_doc(text, mentions)
                 ]
                 if link is not None:
                     for t in triples:
                         t["subj_key"] = link(t["subj"], t["subj_label"])[0]
                         t["obj_key"] = link(t["obj"], t["obj_label"])[0]
-                out_triples.append(triples)
-            else:
-                out_triples.append([])
-
-        mention_type = LINKED_MENTION_TYPE if link is not None else MENTION_TYPE
-        triple_type = LINKED_TRIPLE_TYPE if link is not None else TRIPLE_TYPE
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "token_count": pa.array(out_tokens, pa.int64()),
-            "mentions": pa.array(out_mentions, pa.list_(mention_type)),
-            "groups": pa.array(out_groups, pa.list_(pa.string())),
-            "triples": pa.array(out_triples, pa.list_(triple_type)),
-        })
-
-
-def _explode_struct_list(batch: pa.Table, list_col: str,
-                         parent_cols: tuple[str, ...] = ("url",)) -> pa.Table:
-    """Vectorized explode: list<struct> column → flat table with parent columns
-    repeated per element and one column per struct field (schema-generic, so the
-    fused linked schemas pass through untouched)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    lst = batch[list_col].combine_chunks()
-    lengths = pc.list_value_length(lst).fill_null(0).to_numpy(zero_copy_only=False)
-    flat = pc.list_flatten(lst)
-    idx = pa.array(np.repeat(np.arange(len(batch), dtype=np.int64), lengths))
-    cols: dict[str, pa.Array] = {c: pc.take(batch[c], idx) for c in parent_cols}
-    for field in lst.type.value_type:
-        cols[field.name] = pc.struct_field(flat, field.name)
-    return pa.table(cols)
-
-
-def explode_mentions(batch: pa.Table) -> pa.Table:
-    """Stateless: per-doc nested rows → flat mentions table (the ObjectEntity analog,
-    internal/database/schema.go:135-144). Linked fields pass through when present."""
-    return _explode_struct_list(batch, "mentions")
-
-
-def explode_triples(batch: pa.Table) -> pa.Table:
-    """Stateless: per-doc nested triples → flat (url, subj, pred, obj, labels[, keys])."""
-    return _explode_struct_list(batch, "triples")
-
-
-def explode_groups(batch: pa.Table) -> pa.Table:
-    """Stateless: (url, group) rows — the ObjectGroup analog (schema.go:146-150)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    lst = batch["groups"].combine_chunks()
-    lengths = pc.list_value_length(lst).fill_null(0).to_numpy(zero_copy_only=False)
-    idx = pa.array(np.repeat(np.arange(len(batch), dtype=np.int64), lengths))
-    return pa.table({"url": pc.take(batch["url"], idx),
-                     "group_name": pc.list_flatten(lst)})
+                out_triples.extend(triples)
+        return tagged_rows(out_docs, out_mentions, out_triples, out_groups)

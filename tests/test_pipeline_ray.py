@@ -17,6 +17,17 @@ def _collect(ds) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
 
 
+def _rows(ds, kind: int) -> pa.Table:
+    """The ``kind`` rows of a tag-output dataset."""
+    from ner_backend_ray.stages.tag import rows_of
+    return rows_of(_collect(ds), kind)
+
+
+def _sorted(t: pa.Table) -> pa.Table:
+    """``t`` in an order set by its values alone (every column a sort key)."""
+    return t.sort_by([(c, "ascending") for c in t.column_names])
+
+
 @pytest.fixture(scope="module")
 def oracle_result(tiny_fixture):
     from ner_backend_ray.oracle import run_oracle
@@ -264,7 +275,7 @@ def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
 
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import read_pages, tag_pages
-    from ner_backend_ray.stages.tag import explode_mentions
+    from ner_backend_ray.stages.tag import MENTION
 
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
@@ -276,7 +287,7 @@ def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
 
     def linked() -> dict:
         """(url, start, end) → entity_key of every mention."""
-        m = explode_mentions(_collect(tag_pages(read_pages(fx), cfg, fx)))
+        m = _rows(tag_pages(read_pages(fx), cfg, fx), MENTION)
         return dict(zip(zip(*[m[c].to_pylist() for c in ("url", "start", "end")]),
                         m["entity_key"].to_pylist()))
 
@@ -330,7 +341,7 @@ def docs():
     ds = kg.tag_pages(kg.read_pages(fx), KGConfig(), fx)
     t = pa.concat_tables(list(ds.iter_batches(batch_size=None,
                                               batch_format="pyarrow")))
-    return t.sort_by("url").combine_chunks()
+    return t.sort_by([(c, "ascending") for c in t.column_names]).combine_chunks()
 
 def ipc_bytes(t):
     sink = pa.BufferOutputStream()
@@ -399,8 +410,9 @@ def test_read_and_tag_run_as_one_operator(ray_session, pages_2k):
     """Read, extract and tag run as one Ray Data operator, one task per
     read block, so the tag stage runs as wide as the read."""
     from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.stages.tag import DOC
 
-    assert _fused_docs(pages_2k, KGConfig()).count() == 2000
+    assert _rows(_fused_docs(pages_2k, KGConfig()), DOC).num_rows == 2000
 
 
 def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
@@ -408,10 +420,11 @@ def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
     8-doc calls (32 per block) and the default 256 (one per block) give the
     same docs."""
     from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.stages.tag import DOC, rows_of
 
-    small = _collect(_fused_docs(pages_2k, KGConfig(batch_size=8))).sort_by("url")
-    default = _collect(_fused_docs(pages_2k, KGConfig())).sort_by("url")
-    assert small.num_rows == 2000
+    small = _sorted(_collect(_fused_docs(pages_2k, KGConfig(batch_size=8))))
+    default = _sorted(_collect(_fused_docs(pages_2k, KGConfig())))
+    assert rows_of(small, DOC).num_rows == 2000
     assert small.equals(default)
 
 
@@ -434,6 +447,7 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
     from ner_backend_ray.oracle import KGConfig, run_oracle
     from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+    from ner_backend_ray.stages.tag import DOC, rows_of
 
     fx = _emptied_fixture(tiny_fixture, tmp_path, emptied)
     want = run_oracle(fx)
@@ -447,7 +461,8 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
     assert {n: tables[n].count() for n in counts} == counts
 
     s = run_kg_checkpointed(fx, str(tmp_path / "ckpt"), cfg, concurrency=2)
-    assert s["rows"] == docs.count()
+    assert s["rows"] == docs.map_batches(rows_of, fn_args=(DOC,),
+                                         batch_format="pyarrow").count()
     assert {n: s[n] for n in ("mentions", "triples", "nodes", "edges")} == {
         n: counts[n] for n in ("mentions", "triples", "nodes", "edges")}
 
@@ -459,18 +474,18 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
 def test_empty_pages_file_leaves_no_schemaless_docs_block(ray_session,
                                                           tiny_fixture,
                                                           tmp_path):
-    """With one pages file at 0 rows, every docs block carries the docs
-    schema, empty blocks included."""
+    """With one pages file at 0 rows, every block of the tag output carries
+    the union schema, empty blocks included."""
     import ray
 
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import read_pages, tag_pages
-    from ner_backend_ray.stages.tag import DOC_SCHEMA
+    from ner_backend_ray.stages.tag import UNION_SCHEMA
 
     fx = _emptied_fixture(tiny_fixture, tmp_path, "one_file")
     docs = tag_pages(read_pages(fx), KGConfig(), fx).materialize()
     blocks = ray.get(docs.to_arrow_refs())
-    assert [b.schema.names for b in blocks] == [DOC_SCHEMA.names] * len(blocks)
+    assert [b.schema.names for b in blocks] == [UNION_SCHEMA.names] * len(blocks)
 
 
 def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
@@ -509,7 +524,7 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
     s2 = run_kg_checkpointed(tiny_fixture, resume_dir, cfg, concurrency=2)
     assert s2["partitions_skipped"] == 3
 
-    for table in ("mentions", "triples", "groups", "docs"):
+    for table in ("mentions", "triples", "groups", "docs", "parts"):
         full_files = sorted(glob.glob(os.path.join(full_dir, table, "part-*.parquet")))
         res_files = sorted(glob.glob(os.path.join(resume_dir, table, "part-*.parquet")))
         assert [os.path.basename(p) for p in full_files] == [os.path.basename(p) for p in res_files]
@@ -549,6 +564,7 @@ def test_chunked_pipeline_matches_unchunked(ray_session, tiny_fixture):
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import read_pages, tag_pages
     from ner_backend_ray.stages.chunk import tag_chunked_pages
+    from ner_backend_ray.stages.tag import DOC, GROUP, MENTION, rows_of
 
     cfg = KGConfig()
     whole = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
@@ -556,15 +572,13 @@ def test_chunked_pipeline_matches_unchunked(ray_session, tiny_fixture):
                                 max_chunk_bytes=400, concurrency=2).materialize()
 
     def mention_set(ds):
-        out = set()
-        toks = {}
-        groups = set()
-        for row in ds.iter_rows():
-            for m in row["mentions"]:
-                out.add((row["url"], m["start"], m["end"], m["label"]))
-            toks[row["url"]] = row["token_count"]
-            for g in row["groups"]:
-                groups.add((row["url"], g))
+        t = _collect(ds)
+        out = set(zip(*[rows_of(t, MENTION)[c].to_pylist()
+                        for c in ("url", "start", "end", "label")]))
+        toks = dict(zip(*[rows_of(t, DOC)[c].to_pylist()
+                          for c in ("url", "token_count")]))
+        groups = set(zip(*[rows_of(t, GROUP)[c].to_pylist()
+                           for c in ("url", "group_name")]))
         return out, toks, groups
 
     wm, wt, wg = mention_set(whole)
@@ -656,8 +670,8 @@ def test_assembled_doc_schema_matches_assemble_output():
     assemble()'s exact schema, or pa.concat_tables in the same stage fails."""
     import pyarrow as pa
 
-    from ner_backend_ray.stages.chunk import (assembled_doc_schema,
-                                              make_assemble_docs)
+    from ner_backend_ray.stages.chunk import make_assemble_docs
+    from ner_backend_ray.stages.tag import UNION_SCHEMA
     assemble = make_assemble_docs(None, set(), None)
     group = pa.table({
         "url": pa.array(["http://a"], pa.string()),
@@ -669,6 +683,68 @@ def test_assembled_doc_schema_matches_assemble_output():
             ("lcontext", pa.binary()), ("rcontext", pa.binary())]))),
     })
     out = assemble(group)
-    assert out.schema == assembled_doc_schema()
-    merged = pa.concat_tables([out, assembled_doc_schema().empty_table()])
+    assert out.schema == UNION_SCHEMA
+    merged = pa.concat_tables([out, UNION_SCHEMA.empty_table()])
     assert merged.num_rows == 1
+
+
+_MENTIONS_FIELDS = [
+    ("url", pa.string()), ("start", pa.int64()), ("end", pa.int64()),
+    ("label", pa.string()), ("text", pa.string()), ("lcontext", pa.string()),
+    ("rcontext", pa.string()), ("is_custom", pa.bool_()),
+    ("entity_key", pa.string()), ("candidate_id", pa.string()),
+    ("link_score", pa.float64())]
+_TRIPLES_FIELDS = [(c, pa.string()) for c in (
+    "url", "subj", "pred", "obj", "subj_label", "obj_label", "subj_key",
+    "obj_key")]
+_GROUPS_FIELDS = [("url", pa.string()), ("group_name", pa.string())]
+_DOCS_FIELDS = [("url", pa.string()), ("token_count", pa.int64())]
+
+
+def _fields(t: pa.Table) -> list[tuple[str, pa.DataType]]:
+    return [(f.name, f.type) for f in t.schema]
+
+
+def test_output_schemas_are_pinned(tiny_docs, tiny_fixture, tmp_path):
+    """The streaming mentions/triples/groups tables and the checkpointed
+    docs/mentions/groups/triples Parquet keep their field names, order and
+    Arrow types: a drift from the tag output's null padding or casts fails
+    here."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_phase1
+    from ner_backend_ray.pipelines.kg import kg_tables
+
+    want = {"mentions": _MENTIONS_FIELDS, "triples": _TRIPLES_FIELDS,
+            "groups": _GROUPS_FIELDS}
+    tables = kg_tables(tiny_docs, KGConfig(), tiny_fixture,
+                       tables=tuple(want))
+    assert {n: _fields(_collect(ds)) for n, ds in tables.items()} == want
+
+    out = str(tmp_path / "ckpt")
+    run_phase1(tiny_fixture, out, KGConfig(), concurrency=2)
+    want["docs"] = _DOCS_FIELDS
+    assert {n: _fields(pq.read_table(os.path.join(out, n)))
+            for n in want} == want
+
+
+@pytest.mark.parametrize("runner", ["streaming", "checkpointed"])
+def test_run_kg_job_entrypoint(tiny_fixture, oracle_result, tmp_path, runner):
+    """``jobs/run_kg.py``, the ``ray job submit`` entrypoint, run as its own
+    process over the tiny fixture: its JSON summary has the oracle's
+    mention, triple, node and edge counts."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cmd = [sys.executable, os.path.join(root, "jobs", "run_kg.py"),
+           "--fixture-dir", tiny_fixture, "--out", str(tmp_path / "out")]
+    if runner == "checkpointed":
+        cmd.append("--checkpointed")
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    names = ("mentions", "triples", "nodes", "edges")
+    assert {n: summary[n] for n in names} == {
+        n: oracle_result[n].num_rows for n in names}
