@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
 
 from ..state.metrics import incr_metric
@@ -57,6 +58,14 @@ def union_find(edges: list[tuple]) -> dict:
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             parent[hi] = lo
     return {k: find(k) for k in parent}
+
+
+def union_find_tables(tables, a_col: str, b_col: str) -> dict:
+    """:func:`union_find` over the (``a_col``, ``b_col``) rows of Arrow
+    ``tables``, read a column at a time; empty tables (with or without
+    columns) are skipped. The one builder of the driver's union-find input."""
+    return union_find(edge for t in tables if t.num_rows
+                      for edge in zip(t[a_col].to_pylist(), t[b_col].to_pylist()))
 
 
 def _normalize(batch: pa.Table, a_col: str, b_col: str) -> pa.Table:
@@ -256,8 +265,7 @@ def resolve_roots_or_stars(pairs: ray.data.Dataset, a_col: str = "a",
     incr_metric("near_dup_pairs_total", n_pairs)
     if n_pairs <= budget and (star_budget is None
                               or 2 * n_pairs <= star_budget):
-        rows = pairs.take_all()
-        return union_find([(r[a_col], r[b_col]) for r in rows])
+        return union_find_tables(ray.get(pairs.to_arrow_refs()), a_col, b_col)
     incr_metric("cc_distributed_fallbacks")
     stars = connected_components(pairs, a_col, b_col).materialize()
     if star_budget is None or stars.count() <= star_budget:

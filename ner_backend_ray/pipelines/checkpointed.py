@@ -22,9 +22,11 @@ on boot, no partial-task resume). Ours is file-system-native:
   and a resumed run are both byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten.
-- Phase 2 (the shuffles: canonicalize, nodes, edges) reads only ``{out}/parts``
-  into the streaming pipeline's graph builder (``kg_tables``), asking it for
-  nodes and edges, and re-runs whole; it is cheap relative to phase 1 and guarded by a
+- Phase 2 (canonicalize, nodes, edges) reads only ``{out}/parts`` into the
+  streaming pipeline's graph builder (``kg_tables``), asking it for nodes and
+  edges, so it gets the same plan: one task per stage and no shuffle while
+  the partials fit the builder's byte budget, the distributed shuffles above
+  it. It re-runs whole; it is cheap relative to phase 1 and guarded by a
   ``_SUCCESS`` marker with the set of contributing partitions.
 """
 
@@ -165,7 +167,7 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
 
 def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> dict:
-    """Shuffle phase over the phase-1 ``parts`` Parquet: nodes + edges, sorted,
+    """Graph phase over the phase-1 ``parts`` Parquet: nodes + edges, sorted,
     written with a _SUCCESS marker recording the contributing partitions. Each
     run replaces the graph tables whole, so a re-run after more partitions
     completed does not append to the previous graph."""

@@ -21,27 +21,38 @@ same ``with_partials``. The builder is a declared table of stages, name →
 (deps, fn), and one small scheduler (``_run_stages``) runs the ancestors of
 the requested tables, each once its deps are done:
 
-    parts      tagged → the partial rows (``combined_partials``), compacted
-    mentions   tagged → linked mention rows (a kind filter)
-    triples    tagged → linked triple rows (a kind filter)
-    groups     tagged → (url, group_name) (a kind filter)
-    root_map   parts → MinHash-LSH root map: a broadcast dict under the
-                       budget, a (node, root) star-forest Dataset above it
-    nodes_pre  parts + root_map → node partials with canonical_id, sorted
-                       by canonical_id
+    parts      tagged → the partial rows (``combined_partials``),
+                       compacted above the budget
+    kinds      tagged → one plain task per block, splitting it by kind
+    mentions   kinds → linked mention rows
+    triples    kinds → linked triple rows
+    groups     kinds → (url, group_name)
+    root_map   parts → MinHash-LSH root map: the ObjectRef of a broadcast
+                       dict, above the broadcast budget a (node, root)
+                       star-forest Dataset
+    nodes_pre  parts + root_map → node partials with canonical_id
     key_map    nodes_pre → (entity_key, canonical_id), the oracle export
     nodes      nodes_pre → one merged node per canonical_id run
-    edges      parts + root_map → edge partials over canonical ids, sorted
-                       and merged per (subj_id, pred, obj_id) run
+    edges      parts + root_map → edge partials over canonical ids, merged
+                       per (subj_id, pred, obj_id) run
 
-Roots reach the one node kernel and the one edge kernel either as the
-broadcast dict or as star-join columns. The graph phase has four shuffles:
-the partials compaction, the root-map groupby and the two output sorts
-(plus, above the broadcast budget, the star-forest joins). Each output is
-aggregated once, by the sort that orders it: ``entity_key → canonical_id``
-is a function, so a canonical_id range partition holds whole entity-key
-runs and needs no per-key pre-aggregation (eager/lazy aggregation, Yan &
-Larson, VLDB 1995).
+The plan is sized to the partials at run time. Their bytes (the ``parts``
+blocks' metadata) are compared with ``_graph_budget()``, the object store
+over the cluster's CPUs. Within it, the root map, ``nodes_pre`` and
+``edges`` each run as ONE task over every partial block, and the graph
+phase runs no shuffle: fusing small operators beats paying a
+materialization and an exchange per operator ("Machine Learning Inference
+Pipeline Execution Using Pure SQL Based on Operator Fusion", ICDE 2025),
+and a memory budget decides where the pipeline breaks and how wide it
+runs ("Memory Efficient Scheduling of Query Pipeline Execution", CIDR
+2022). Above it, the graph phase has four shuffles: the partials
+compaction, the root-map groupby and the two output sorts (plus, above the
+broadcast budget, the star-forest joins); each output is then aggregated
+once, by the sort that orders it: ``entity_key → canonical_id`` is a
+function, so a canonical_id range partition holds whole entity-key runs and
+needs no per-key pre-aggregation (eager/lazy aggregation, Yan & Larson,
+VLDB 1995). Roots reach the one node kernel and the one edge kernel either
+as the broadcast dict or as star-join columns.
 """
 
 from __future__ import annotations
@@ -85,6 +96,24 @@ def _compact_small() -> int:
     so reduce parallelism grows with the cluster instead of pinning at a
     tuned constant, floored at the measured-good single-node value."""
     return max(8, _cluster_cpus() // 4)
+
+
+def _graph_budget() -> int:
+    """Partials bytes up to which the graph phase runs each stage as one
+    task: the object store's capacity over the cluster's CPUs, one task's
+    share of the store (128 MiB on a 4-CPU session with a 512 MiB store),
+    and at most Ray Data's target block size, so that a one-task stage's
+    output stays one block (a node partial row with its canonical_id is
+    smaller than its partials row)."""
+    store = int(ray.cluster_resources().get("object_store_memory", 0))
+    block = ray.data.DataContext.get_current().target_max_block_size
+    return min(store // _cluster_cpus(), block or store)
+
+
+def _fits(parts: ray.data.Dataset) -> bool:
+    """Whether the materialized partials are within ``_graph_budget()``; their
+    blocks' metadata gives the bytes, so this reads no data."""
+    return parts.size_bytes() <= _graph_budget()
 
 
 def _edge_buckets() -> int:
@@ -193,8 +222,21 @@ def _canonical(batch: pa.Table, key: str, root_map) -> pa.Array:
     return _cid_from_cols(batch[key], roots, root_map)
 
 
+# (object id, root map) of the last broadcast root map this process fetched
+_last_roots: tuple = (None, None)
+
+
 def _resolved(root_map):
-    return ray.get(root_map) if isinstance(root_map, ray.ObjectRef) else root_map
+    """The broadcast root map of ``root_map`` (a dict or its ObjectRef). A ref
+    is fetched and unpickled once per process, not once per kernel call: a
+    one-entry cache keyed on the object id, which pins no object."""
+    global _last_roots
+    if not isinstance(root_map, ray.ObjectRef):
+        return root_map
+    last = _last_roots  # one read: a concurrent caller may replace it
+    if last[0] != root_map.binary():
+        last = _last_roots = (root_map.binary(), ray.get(root_map))
+    return last[1]
 
 
 def canonicalize_nodes(batch: pa.Table, root_map=None) -> pa.Table:
@@ -238,21 +280,28 @@ def _join_star_roots(ds: ray.data.Dataset, key_col: str,
 
 
 def _rooted(parts: ray.data.Dataset, kind: int, kernel, roots,
-            keys: list[str]) -> ray.data.Dataset:
-    """``kernel`` over the ``kind`` rows of ``parts`` with the
-    roots of their ``keys`` columns: ``roots`` is the star-forest Dataset
-    (joined in as columns) or the broadcast dict's ObjectRef (passed to the
-    kernel). On the broadcast path the row filter and the kernel are ONE
-    function: as two fused map functions, the kernel never sees a block the
-    filter emptied, and its task emits a schema-less block in its place."""
+            keys: list[str], order: list[str]) -> ray.data.Dataset:
+    """``kernel`` over the ``kind`` rows of ``parts`` with the roots of their
+    ``keys`` columns, sorted on ``order`` so that each block holds whole
+    ``order`` runs. ``roots`` is the star-forest Dataset (joined in as
+    columns) or the broadcast dict's ObjectRef (passed to the kernel). On
+    the broadcast path the row filter and the kernel are ONE function: as
+    two fused map functions, the kernel never sees a block the filter
+    emptied, and its task emits a schema-less block in its place. When the
+    partials fit ``_graph_budget()``, that function runs as ONE task over
+    every block (a batch of all the rows), whose one output block holds
+    every run, so no sort is needed."""
     if isinstance(roots, ray.data.Dataset):
         ds = parts.map_batches(rows_of, fn_args=(kind,), batch_format="pyarrow")
         for key in keys:
             ds = _join_star_roots(ds, key, roots)
-        return ds.map_batches(kernel, batch_format="pyarrow")
-    return parts.map_batches(
+        return ds.map_batches(kernel, batch_format="pyarrow").sort(order)
+    one_task = _fits(parts)
+    ds = parts.map_batches(
         lambda b, root_map: kernel(rows_of(b, kind), root_map),
+        batch_size=max(1, parts.count()) if one_task else None,
         batch_format="pyarrow", fn_kwargs={"root_map": roots})
+    return ds if one_task else ds.sort(order)
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +354,46 @@ _PARTS_COLUMNS = [f.name for f in UNION_SCHEMA if f.name == "kind" or any(
 
 def combined_partials(batch: pa.Table) -> pa.Table:
     """The partial rows (LSH bands, node partials, raw edge partials) of the
-    tag output, with only their columns: the ``parts`` stage compacts these
-    and the root-map groupby and the two output sorts run over them (a
-    handful of blocks), so their driver cost does not track the docs block
-    count. Checkpointed phase 1 writes the same rows as ``parts/``."""
+    tag output, with only their columns: the root map, nodes and edges are
+    built from these alone (``_partials``). Checkpointed phase 1 writes the
+    same rows as ``parts/``."""
     return batch.filter(pc.greater_equal(batch["kind"], BAND)).select(_PARTS_COLUMNS)
+
+
+@ray.remote
+def _roots_in_one_task(*blocks: pa.Table) -> dict:
+    """The root map of the partial ``blocks`` in one task: one Arrow
+    group_by gives each (band, band_hash) bucket's distinct keys,
+    ``bucket_pairs`` verifies the buckets with two or more, and
+    ``union_find`` resolves the pairs."""
+    from ..ops.cc import union_find_tables
+    from ..state.metrics import incr_metric
+    bands = [rows_of(b, BAND) for b in blocks if b.num_rows]
+    if not bands:
+        return {}
+    keys = (pa.concat_tables(bands).group_by(["band", "band_hash"])
+            .aggregate([("entity_key", "distinct")])["entity_key_distinct"])
+    pairs = [bucket_pairs(pa.table({"entity_key": k})) for k in
+             keys.filter(pc.greater(pc.list_value_length(keys), 1)).to_pylist()]
+    incr_metric("near_dup_pairs_total", sum(p.num_rows for p in pairs))
+    return union_find_tables(pairs, "entity_key", "root")
 
 
 def _root_map(parts: ray.data.Dataset):
     """MinHash-LSH clustering of unlinked surface keys → the roots of the
-    keys that cluster: the ObjectRef of a broadcast dict under the budget,
-    above it a materialized (node, root) star-forest Dataset. Pair
-    resolution is budget-guarded: under _CC_BUDGET pairs the edge list
-    union-finds on the driver, above it (template-heavy corpora) it runs
-    distributed connected components."""
+    keys that cluster. When the partials fit ``_graph_budget()``, one task
+    computes it (``_roots_in_one_task``) and this returns the ObjectRef of
+    its dict. Above the budget, a groupby over (band, band_hash) pairs the
+    keys; under _CC_BUDGET pairs the edge list union-finds on the driver,
+    above it (template-heavy corpora) it runs distributed connected
+    components, and the result is the ObjectRef of a broadcast dict, or
+    above the broadcast budget a materialized (node, root) star-forest
+    Dataset."""
     from ..ops.cc import resolve_roots_or_stars
+    if _fits(parts):
+        roots = _roots_in_one_task.remote(*parts.to_arrow_refs())
+        ray.wait([roots], fetch_local=False)
+        return roots
     pairs = (parts.map_batches(rows_of, fn_args=(BAND,), batch_format="pyarrow")
              .groupby(["band", "band_hash"])
              .map_groups(bucket_pairs, batch_format="pyarrow"))
@@ -429,6 +503,23 @@ def _merge_edge_block(block: pa.Table) -> pa.Table:
                                "weight"]).cast(_EDGE_SCHEMA)
 
 
+@ray.remote(num_returns=3)
+def _split_kinds(block: pa.Table) -> tuple:
+    """One tag-output block → its mention, triple and group rows, typed even
+    when the block is empty (a 0-row read leaves a block without columns)."""
+    if block.num_rows == 0:
+        block = UNION_SCHEMA.empty_table()
+    return tuple(rows_of(block, kind) for kind in (MENTION, TRIPLE, GROUP))
+
+
+def _partials(tagged: ray.data.Dataset) -> ray.data.Dataset:
+    """The partial rows of ``tagged`` (``combined_partials``), materialized;
+    above ``_graph_budget()`` compacted to ``_compact_small()`` blocks for
+    the distributed plan's groupby and sorts."""
+    parts = tagged.map_batches(combined_partials, batch_format="pyarrow").materialize()
+    return parts if _fits(parts) else parts.repartition(_compact_small()).materialize()
+
+
 def _run_stages(stages: dict, want, timings: dict | None = None) -> dict:
     """Run the ancestors of ``want`` in ``stages`` (name → (deps, fn)), each
     on its own thread once its deps are done, ``fn`` receiving their results
@@ -465,40 +556,43 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
     """The tag output in the union layout (``tag_pages``; or, checkpointed,
     just its partial rows) → the requested ``tables`` of {mentions, groups,
     triples, nodes, edges, key_map}, running only the stages they need.
-    ``tagged`` should be materialized or Parquet-backed (up to four stages
-    filter it). ``cfg`` and ``fixture_dir`` name the run it came from; the
-    graph needs neither, because linking happened in the tag kernel.
+    ``tagged`` should be materialized or Parquet-backed (two stages read
+    it). ``cfg`` and ``fixture_dir`` name the run it came from; the graph
+    needs neither, because linking happened in the tag kernel.
 
-    No stage scans docs: ``mentions``, ``triples`` and ``groups`` are kind
-    filters, and ``parts`` is the partial rows the tag task built, compacted
-    to ``_compact_small()`` blocks. The graph phase has four shuffles: that
-    compaction, the root-map groupby, and one sort per output, which both
-    groups it (equal keys share a partition) and orders it. Every stage
-    runs as soon as its deps are done; all combiner partials are vectorized
-    Arrow kernels. The tag stage itself is not overlapped with these: it
-    saturates the CPUs and concurrent executions only contend (measured).
+    No stage scans docs: ``mentions``, ``triples`` and ``groups`` come from
+    one wave of plain tasks, one per tagged block, each splitting its block
+    by kind; ``parts`` is the partial rows the tag task built. When their
+    bytes are within ``_graph_budget()``, the root map, ``nodes_pre`` and
+    ``edges`` each run as one task and nothing shuffles. Above it, ``parts``
+    is compacted to ``_compact_small()`` blocks and the graph phase has four
+    shuffles: that compaction, the root-map groupby, and one sort per
+    output, which both groups it (equal keys share a partition) and orders
+    it. Every stage runs as soon as its deps are done; all combiner
+    partials are vectorized Arrow kernels. The tag stage itself is not
+    overlapped with these: it saturates the CPUs and concurrent executions
+    only contend (measured).
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""
-    def of_kind(kind):
-        return tagged.map_batches(rows_of, fn_args=(kind,),
-                                  batch_format="pyarrow").materialize()
+    def of_kind(i):
+        return lambda wave: ray.data.from_arrow_refs([refs[i] for refs in wave])
 
-    # sort's range partitioner never splits equal keys, so each block holds
-    # complete canonical_id (triple-key) groups and the merge is one
-    # vectorized Arrow kernel per block — no per-group Python dispatch; the
-    # output stays globally key-ordered (tests/test_pipeline_ray.py asserts it)
+    # a sort's range partitioner never splits equal keys (and one task's one
+    # block holds them all), so each block holds complete canonical_id
+    # (triple-key) groups and the merge is one vectorized Arrow kernel per
+    # block — no per-group Python dispatch; the output stays globally
+    # key-ordered (tests/test_pipeline_ray.py asserts it)
     stages = {
-        "parts": ((), lambda: (
-            tagged.map_batches(combined_partials, batch_format="pyarrow")
-            .repartition(_compact_small()).materialize())),
-        "mentions": ((), lambda: of_kind(MENTION)),
-        "triples": ((), lambda: of_kind(TRIPLE)),
-        "groups": ((), lambda: of_kind(GROUP)),
+        "parts": ((), lambda: _partials(tagged)),
+        "kinds": ((), lambda: [_split_kinds.remote(b) for b in tagged.to_arrow_refs()]),
+        "mentions": (("kinds",), of_kind(0)),
+        "triples": (("kinds",), of_kind(1)),
+        "groups": (("kinds",), of_kind(2)),
         "root_map": (("parts",), _root_map),
         "nodes_pre": (("parts", "root_map"), lambda parts, roots: (
-            _rooted(parts, NODE, canonicalize_nodes, roots, ["entity_key"])
-            .sort("canonical_id").materialize())),
+            _rooted(parts, NODE, canonicalize_nodes, roots, ["entity_key"],
+                    ["canonical_id"]).materialize())),
         "key_map": (("nodes_pre",), lambda pre: (
             pre.map_batches(_key_pairs, batch_format="pyarrow",
                             batch_size=None))),
@@ -507,8 +601,7 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
                             batch_size=None).materialize())),
         "edges": (("parts", "root_map"), lambda parts, roots: (
             _rooted(parts, EDGE, canonicalize_edge_partials, roots,
-                    ["subj_key", "obj_key"])
-            .sort(["subj_id", "pred", "obj_id"])
+                    ["subj_key", "obj_key"], ["subj_id", "pred", "obj_id"])
             .map_batches(_merge_edge_block, batch_format="pyarrow",
                          batch_size=None)
             .materialize())),

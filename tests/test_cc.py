@@ -233,3 +233,22 @@ def test_embedding_neardups_multitable_recall(ray_session):
                                 n_planes=8, n_tables=16)
     assert len(pairs) == 40 * 39 // 2
     assert all(a < 40 and b < 40 for a, b in pairs)
+
+
+def test_union_find_tables_reads_arrow_columns():
+    """The union-find input built from two Arrow columns, over several
+    tables (an empty one and one without columns among them), gives the
+    list-built ``union_find``'s map."""
+    import pyarrow as pa
+
+    from ner_backend_ray.ops.cc import union_find, union_find_tables
+
+    edges = _disjoint_graph()
+    tables = [pa.table({"a": [a for a, _ in edges[:100]],
+                        "b": [b for _, b in edges[:100]]}),
+              pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}),
+              pa.table({}),
+              pa.table({"b": [b for _, b in edges[100:]],
+                        "a": [a for a, _ in edges[100:]]})]
+    assert union_find_tables(tables, "a", "b") == union_find(edges)
+    assert union_find_tables([], "a", "b") == {}

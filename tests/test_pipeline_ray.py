@@ -110,16 +110,31 @@ def tiny_docs(ray_session, tiny_fixture):
     return tag_pages(read_pages(tiny_fixture), KGConfig(), tiny_fixture).materialize()
 
 
-@pytest.mark.parametrize("path", ["broadcast", "star_join"])
+def _force_plan(monkeypatch, plan: str) -> None:
+    """Force ``kg_tables``'s graph plan: every stage one task (``one_task``,
+    an unlimited partials budget) or the distributed plan (a 0-byte
+    budget)."""
+    from ner_backend_ray.pipelines import kg
+    budget = 1 << 62 if plan == "one_task" else 0
+    monkeypatch.setattr(kg, "_graph_budget", lambda: budget)
+
+
+# the one-task cases keep the ids they had before the plan was a parameter
+@pytest.mark.parametrize("path,plan", [
+    pytest.param("broadcast", "one_task", id="broadcast"),
+    pytest.param("star_join", "one_task", id="star_join"),
+    pytest.param("broadcast", "distributed", id="broadcast-distributed"),
+    pytest.param("star_join", "distributed", id="star_join-distributed")])
 def test_forced_clusters_match_oracle(tiny_docs, tiny_fixture, oracle_result,
-                                      monkeypatch, path):
+                                      monkeypatch, path, plan):
     """The fixture's surfaces have no near-duplicates, so on its own no two
     entity keys share a canonical_id. Here one root map pairs off the sorted
     entity keys, each odd key rooted at the key before it, and is given to
     the oracle and to the engine, as the broadcast dict or as a star-forest
-    Dataset (which goes through the star-forest joins). Nodes (surface_forms
-    included) and edges equal the oracle's, and ``key_map`` holds one row per
-    mentioned entity key, each naming a node."""
+    Dataset (which goes through the star-forest joins), under either graph
+    plan. Nodes (surface_forms included) and edges equal the oracle's, and
+    ``key_map`` holds one row per mentioned entity key, each naming a
+    node."""
     import ray
     import ray.data
 
@@ -133,6 +148,7 @@ def test_forced_clusters_match_oracle(tiny_docs, tiny_fixture, oracle_result,
     want = oracle.run_oracle(tiny_fixture)
     assert want["nodes"].num_rows < oracle_result["nodes"].num_rows
 
+    _force_plan(monkeypatch, plan)
     if path == "broadcast":
         monkeypatch.setattr(kg, "_root_map", lambda parts: ray.put(roots))
     else:
@@ -165,6 +181,128 @@ def test_kg_tables_times_every_ledger_stage(tiny_docs, tiny_fixture):
     timings = {}
     kg_tables(tiny_docs, KGConfig(), tiny_fixture, timings=timings)
     assert set(KG_GRAPH_STAGES) <= set(timings)
+
+
+def _ipc(t: pa.Table) -> bytes:
+    """``t`` as Arrow IPC stream bytes, its rows sorted on every column that
+    is not a list and its chunks combined: equal bytes mean equal tables,
+    field names and types included."""
+    keys = [(f.name, "ascending") for f in t.schema
+            if not pa.types.is_list(f.type)]
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as writer:
+        writer.write_table(t.sort_by(keys).combine_chunks())
+    return sink.getvalue().to_pybytes()
+
+
+def test_graph_plans_give_identical_tables(ray_session, pages_2k, monkeypatch):
+    """Over 2,000 pages, the graph phase with its partials budget forced to
+    0 (the distributed plan) and to unlimited (one task per stage) gives
+    byte-identical tables, all six of them."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.kg import (KG_TABLES, kg_tables, read_pages,
+                                              tag_pages)
+
+    cfg = KGConfig()
+    docs = tag_pages(read_pages(pages_2k), cfg, pages_2k).materialize()
+    got = {}
+    for plan in ("distributed", "one_task"):
+        _force_plan(monkeypatch, plan)
+        tables = {name: _collect(ds)
+                  for name, ds in kg_tables(docs, cfg, pages_2k).items()}
+        assert set(tables) == set(KG_TABLES)
+        assert all(t.num_rows for t in tables.values()), plan
+        got[plan] = {name: _ipc(t) for name, t in tables.items()}
+    assert got["one_task"] == got["distributed"]
+
+
+def _operators(ds) -> dict[str, str]:
+    """Operator name → the rest of its line in ``ds.stats()``, for every
+    operator in the lineage of ``ds``."""
+    import re
+    return dict(re.findall(r"^Operator \d+ (.+?): (.*)$", ds.stats(), re.M))
+
+
+def test_one_task_plan_runs_no_shuffle(tiny_docs, tiny_fixture, monkeypatch):
+    """Under the partials budget, the ``nodes`` and ``edges`` lineages name
+    no sort, repartition or groupby operator, each of their graph operators
+    runs one task, and ``nodes`` still names the ``combined_partials``
+    operator (the benchmark reads its rows); with the budget at 0 the same
+    check finds the distributed plan's shuffles."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.kg import kg_tables
+
+    shuffles = ("Sort", "Repartition", "Aggregate", "GroupBy", "Shuffle")
+    for plan in ("one_task", "distributed"):
+        _force_plan(monkeypatch, plan)
+        tables = kg_tables(tiny_docs, KGConfig(), tiny_fixture,
+                           tables=("nodes", "edges"))
+        ops = {name: _operators(tables[name]) for name in tables}
+        found = [op for name in ops for op in ops[name]
+                 if any(s in op for s in shuffles)]
+        assert bool(found) == (plan == "distributed"), (plan, ops)
+        assert any("combined_partials" in op for op in ops["nodes"]), ops
+        if plan == "one_task":
+            graph = {op: line for name in ops for op, line in ops[name].items()
+                     if "TagDocs" not in op and "combined_partials" not in op}
+            assert len(graph) == 3, graph  # nodes_pre, nodes, edges
+            assert all(line.startswith("1 tasks executed")
+                       for line in graph.values()), graph
+
+
+def test_graph_phase_logs_no_schema_warnings(tiny_docs, tiny_fixture):
+    """Three graph phases over the 200-page fixture log no Ray Data warning
+    about a block whose schema differs from the ones before it (the
+    root-map groupby's empty sort partitions logged them as ``new schema:
+    .``). Ray Data logs them from the driver, so a handler on the
+    ``ray.data`` logger sees them."""
+    import logging
+
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.kg import kg_tables
+
+    class Records(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.WARNING)
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    records = Records()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(records)
+    try:
+        for _ in range(3):
+            tables = kg_tables(tiny_docs, KGConfig(), tiny_fixture)
+            assert all(ds.count() >= 0 for ds in tables.values())
+    finally:
+        logger.removeHandler(records)
+    assert not [m for m in records.messages if "different schema" in m]
+
+
+def test_broadcast_root_map_fetched_once_per_process(ray_session, monkeypatch):
+    """A kernel given the broadcast root map's ref fetches it once per
+    process: two ``canonicalize_nodes`` calls on one 10⁵-entry map's ref make
+    one ``ray.get``, a new ref one more, and the ids equal the dict's."""
+    import ray
+
+    from ner_backend_ray.pipelines import kg
+
+    roots = {f"surf:key{i}": f"surf:root{i // 2}" for i in range(100_000)}
+    batch = pa.table({"entity_key": [f"surf:key{i}" for i in range(0, 100_000, 997)]
+                      + ["surf:unclustered"]})
+    want = kg.canonicalize_nodes(batch, roots)
+    ref = ray.put(roots)
+    gets = []
+    real_get = ray.get
+    monkeypatch.setattr(ray, "get", lambda *a, **kw: gets.append(a) or real_get(*a, **kw))
+    monkeypatch.setattr(kg, "_last_roots", (None, None))
+    assert kg.canonicalize_nodes(batch, ref).equals(want)
+    assert kg.canonicalize_nodes(batch, ref).equals(want)
+    assert len(gets) == 1
+    assert kg.canonicalize_nodes(batch, ray.put(roots)).equals(want)
+    assert len(gets) == 2
 
 
 @pytest.mark.parametrize("rootmap_budget", [None, "0"],
