@@ -36,11 +36,11 @@ the requested tables, each once its deps are done:
     edges      parts + root_map → edge partials over canonical ids, merged
                        per (subj_id, pred, obj_id) run
 
-The plan is sized to the partials at run time. Their bytes (the ``parts``
-blocks' metadata) are compared with ``_graph_budget()``, the object store
-over the cluster's CPUs. Within it, the root map, ``nodes_pre`` and
-``edges`` each run as ONE task over every partial block, and the graph
-phase runs no shuffle: fusing small operators beats paying a
+The plan is sized to the partials at run time, once, in ``_partials``:
+their bytes (the ``parts`` blocks' metadata) are compared with
+``_graph_budget()``, Ray Data's target block size. Within it, the root map,
+``nodes_pre`` and ``edges`` each run as ONE task over every partial block,
+and the graph phase runs no shuffle: fusing small operators beats paying a
 materialization and an exchange per operator ("Machine Learning Inference
 Pipeline Execution Using Pure SQL Based on Operator Fusion", ICDE 2025),
 and a memory budget decides where the pipeline breaks and how wide it
@@ -100,20 +100,18 @@ def _compact_small() -> int:
 
 def _graph_budget() -> int:
     """Partials bytes up to which the graph phase runs each stage as one
-    task: the object store's capacity over the cluster's CPUs, one task's
-    share of the store (128 MiB on a 4-CPU session with a 512 MiB store),
-    and at most Ray Data's target block size, so that a one-task stage's
-    output stays one block (a node partial row with its canonical_id is
-    smaller than its partials row)."""
-    store = int(ray.cluster_resources().get("object_store_memory", 0))
-    block = ray.data.DataContext.get_current().target_max_block_size
-    return min(store // _cluster_cpus(), block or store)
-
-
-def _fits(parts: ray.data.Dataset) -> bool:
-    """Whether the materialized partials are within ``_graph_budget()``; their
-    blocks' metadata gives the bytes, so this reads no data."""
-    return parts.size_bytes() <= _graph_budget()
+    task: Ray Data's target block size (128 MiB by default). A one-task
+    stage emits one block, and its output is smaller than its partials (a
+    node partial row with its canonical_id is smaller than its partials
+    row); above 1.5 times the target, Ray Data would slice that block and
+    split canonical_id runs across blocks. A session with no target (None)
+    gets the distributed plan. Below the cap, one task beat the distributed
+    plan at every size measured: over 2 to 123 MB of synthetic partials
+    (``tests/test_pipeline_ray.py::planted_partials``), it took 0.44 to
+    3.7 s against 1.5 to 14.6 s, with a peak worker RSS of 422 MB at 123 MB
+    against 460 MB (a 4-CPU session on a host with one usable core, so the
+    distributed plan's parallelism went unmeasured)."""
+    return ray.data.DataContext.get_current().target_max_block_size or 0
 
 
 def _edge_buckets() -> int:
@@ -229,9 +227,13 @@ _last_roots: tuple = (None, None)
 def _resolved(root_map):
     """The broadcast root map of ``root_map`` (a dict or its ObjectRef). A ref
     is fetched and unpickled once per process, not once per kernel call: a
-    one-entry cache keyed on the object id, which pins no object."""
+    one-entry cache keyed on the object id, which pins no object. A kernel
+    call without a ref (a dict, or roots as star-join columns) empties the
+    cache: a process holds at most one map, until its next kernel call with
+    another ref or with none."""
     global _last_roots
     if not isinstance(root_map, ray.ObjectRef):
+        _last_roots = (None, None)
         return root_map
     last = _last_roots  # one read: a concurrent caller may replace it
     if last[0] != root_map.binary():
@@ -279,7 +281,7 @@ def _join_star_roots(ds: ray.data.Dataset, key_col: str,
                             n_buckets=max(16, _cluster_cpus()), how="left")
 
 
-def _rooted(parts: ray.data.Dataset, kind: int, kernel, roots,
+def _rooted(parts: ray.data.Dataset, one_task: bool, kind: int, kernel, roots,
             keys: list[str], order: list[str]) -> ray.data.Dataset:
     """``kernel`` over the ``kind`` rows of ``parts`` with the roots of their
     ``keys`` columns, sorted on ``order`` so that each block holds whole
@@ -287,16 +289,15 @@ def _rooted(parts: ray.data.Dataset, kind: int, kernel, roots,
     columns) or the broadcast dict's ObjectRef (passed to the kernel). On
     the broadcast path the row filter and the kernel are ONE function: as
     two fused map functions, the kernel never sees a block the filter
-    emptied, and its task emits a schema-less block in its place. When the
-    partials fit ``_graph_budget()``, that function runs as ONE task over
-    every block (a batch of all the rows), whose one output block holds
-    every run, so no sort is needed."""
+    emptied, and its task emits a schema-less block in its place. On the
+    ``one_task`` plan, that function runs as ONE task over every block (a
+    batch of all the rows), whose one output block holds every run, so no
+    sort is needed."""
     if isinstance(roots, ray.data.Dataset):
         ds = parts.map_batches(rows_of, fn_args=(kind,), batch_format="pyarrow")
         for key in keys:
             ds = _join_star_roots(ds, key, roots)
         return ds.map_batches(kernel, batch_format="pyarrow").sort(order)
-    one_task = _fits(parts)
     ds = parts.map_batches(
         lambda b, root_map: kernel(rows_of(b, kind), root_map),
         batch_size=max(1, parts.count()) if one_task else None,
@@ -379,18 +380,22 @@ def _roots_in_one_task(*blocks: pa.Table) -> dict:
     return union_find_tables(pairs, "entity_key", "root")
 
 
-def _root_map(parts: ray.data.Dataset):
+def _root_map(parts: ray.data.Dataset, one_task: bool):
     """MinHash-LSH clustering of unlinked surface keys → the roots of the
-    keys that cluster. When the partials fit ``_graph_budget()``, one task
-    computes it (``_roots_in_one_task``) and this returns the ObjectRef of
-    its dict. Above the budget, a groupby over (band, band_hash) pairs the
-    keys; under _CC_BUDGET pairs the edge list union-finds on the driver,
+    keys that cluster. On the ``one_task`` plan, one task computes it
+    (``_roots_in_one_task``) and this returns the ObjectRef of its dict. The
+    pairs never leave that task, so ``_CC_BUDGET`` has nothing to bound, and
+    the dict stays far below the broadcast budget: each surface key has
+    ``LSH_BANDS`` (8) band rows of about 60 bytes or more, so partials
+    within ``_graph_budget()`` (128 MiB) name fewer than 300,000 keys,
+    against 5,000,000 entries. On the distributed plan, a groupby over
+    (band, band_hash) pairs the keys; under _CC_BUDGET pairs the edge list union-finds on the driver,
     above it (template-heavy corpora) it runs distributed connected
     components, and the result is the ObjectRef of a broadcast dict, or
     above the broadcast budget a materialized (node, root) star-forest
     Dataset."""
     from ..ops.cc import resolve_roots_or_stars
-    if _fits(parts):
+    if one_task:
         roots = _roots_in_one_task.remote(*parts.to_arrow_refs())
         ray.wait([roots], fetch_local=False)
         return roots
@@ -512,12 +517,16 @@ def _split_kinds(block: pa.Table) -> tuple:
     return tuple(rows_of(block, kind) for kind in (MENTION, TRIPLE, GROUP))
 
 
-def _partials(tagged: ray.data.Dataset) -> ray.data.Dataset:
-    """The partial rows of ``tagged`` (``combined_partials``), materialized;
-    above ``_graph_budget()`` compacted to ``_compact_small()`` blocks for
-    the distributed plan's groupby and sorts."""
+def _partials(tagged: ray.data.Dataset) -> tuple[ray.data.Dataset, bool]:
+    """The partial rows of ``tagged`` (``combined_partials``), materialized,
+    and the graph plan they choose, decided once here: ``one_task`` when
+    their bytes (block metadata, so no data is read) are within
+    ``_graph_budget()``; else the distributed plan, for whose groupby and
+    sorts they are compacted to ``_compact_small()`` blocks."""
     parts = tagged.map_batches(combined_partials, batch_format="pyarrow").materialize()
-    return parts if _fits(parts) else parts.repartition(_compact_small()).materialize()
+    if parts.size_bytes() <= _graph_budget():
+        return parts, True
+    return parts.repartition(_compact_small()).materialize(), False
 
 
 def _run_stages(stages: dict, want, timings: dict | None = None) -> dict:
@@ -589,9 +598,9 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
         "mentions": (("kinds",), of_kind(0)),
         "triples": (("kinds",), of_kind(1)),
         "groups": (("kinds",), of_kind(2)),
-        "root_map": (("parts",), _root_map),
-        "nodes_pre": (("parts", "root_map"), lambda parts, roots: (
-            _rooted(parts, NODE, canonicalize_nodes, roots, ["entity_key"],
+        "root_map": (("parts",), lambda plan: _root_map(*plan)),
+        "nodes_pre": (("parts", "root_map"), lambda plan, roots: (
+            _rooted(*plan, NODE, canonicalize_nodes, roots, ["entity_key"],
                     ["canonical_id"]).materialize())),
         "key_map": (("nodes_pre",), lambda pre: (
             pre.map_batches(_key_pairs, batch_format="pyarrow",
@@ -599,8 +608,8 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
         "nodes": (("nodes_pre",), lambda pre: (
             pre.map_batches(_merge_node_block, batch_format="pyarrow",
                             batch_size=None).materialize())),
-        "edges": (("parts", "root_map"), lambda parts, roots: (
-            _rooted(parts, EDGE, canonicalize_edge_partials, roots,
+        "edges": (("parts", "root_map"), lambda plan, roots: (
+            _rooted(*plan, EDGE, canonicalize_edge_partials, roots,
                     ["subj_key", "obj_key"], ["subj_id", "pred", "obj_id"])
             .map_batches(_merge_edge_block, batch_format="pyarrow",
                          batch_size=None)

@@ -83,10 +83,14 @@ def test_star_join_root_map_matches_broadcast(ray_session, tiny_fixture,
     is applied via bucket hash joins — nodes/edges must equal the oracle
     exactly, same as the broadcast path. The tiny fixture has no near-dup
     pairs, so its root map is empty and stays a dict; the joins themselves
-    run in ``test_forced_clusters_match_oracle[star_join]``."""
+    run in ``test_forced_clusters_match_oracle[star_join]`` and
+    ``test_planted_near_duplicates_cluster_as_oracle[star_join]``. The
+    distributed graph plan is forced, because only its root map
+    (``resolve_roots_or_stars``) reads the broadcast budget."""
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
+    _force_plan(monkeypatch, "distributed")
     monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", "0")
     cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
@@ -117,6 +121,93 @@ def _force_plan(monkeypatch, plan: str) -> None:
     from ner_backend_ray.pipelines import kg
     budget = 1 << 62 if plan == "one_task" else 0
     monkeypatch.setattr(kg, "_graph_budget", lambda: budget)
+
+
+def planted_partials(n_keys: int, n_blocks: int, seed: int = 0) -> list[pa.Table]:
+    """Partial blocks in the union layout over ``n_keys`` random surface
+    keys, every fifth with two near-duplicates planted beside it (one letter
+    dropped at two places, Jaccard about 0.7 to it): each key's LSH band
+    rows and node partial, and an edge partial from it to a random key, in
+    each of two of the ``n_blocks`` blocks (keys repeat across blocks, as
+    in the tag output)."""
+    import numpy as np
+
+    from ner_backend_ray.pipelines.kg import _band_rows
+    from ner_backend_ray.stages.tag import BAND, EDGE, NODE, union_of
+
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    names = ["".join(rng.choice(letters, 16)) for _ in range(n_keys)]
+    names += [n[:4] + n[5:] for n in names[::5]] + [n[:11] + n[12:] for n in names[::5]]
+    keys = np.array(["surf:" + n for n in names], dtype=object)
+    blocks = []
+    homes = np.argsort(rng.random((len(keys), n_blocks)), axis=1)[:, :2]
+    for b in range(n_blocks):
+        mine = keys[(homes == b).any(axis=1)]
+        n = len(mine)
+        blocks.append(pa.concat_tables([
+            union_of(BAND, _band_rows(pa.table({"entity_key": mine}))),
+            union_of(NODE, pa.table({
+                "entity_key": mine, "surface": [k[5:].title() for k in mine],
+                "label": rng.choice(["ORG", "PERSON", "GPE"], n),
+                "partial_count": rng.integers(1, 6, n)})),
+            union_of(EDGE, pa.table({
+                "subj_key": mine, "obj_key": rng.choice(keys, n),
+                "pred": rng.choice(["acquired", "partner_of"], n),
+                "partial_weight": rng.integers(1, 4, n)}))]))
+    return blocks
+
+
+@pytest.mark.parametrize("rootmap_budget", [None, "0"],
+                         ids=["broadcast", "star_join"])
+def test_planted_near_duplicates_cluster_as_oracle(ray_session, monkeypatch,
+                                                   rootmap_budget):
+    """Over partials with planted near-duplicate surfaces, the one-task root
+    map, the distributed one (groupby, ``bucket_pairs``,
+    ``resolve_roots_or_stars``: a dict, or with the broadcast budget at 0 a
+    star-forest Dataset) and the oracle's clustering are the same map, with
+    clusters of three keys; and nodes, edges and key_map are byte-identical
+    under both graph plans, with fewer canonical ids than keys."""
+    import ray
+    import ray.data
+
+    from ner_backend_ray import oracle
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines import kg
+    from ner_backend_ray.stages.tag import BAND, rows_of
+
+    if rootmap_budget is not None:
+        monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", rootmap_budget)
+    blocks = planted_partials(300, 4)
+    parts = ray.data.from_arrow(blocks).materialize()
+    surf = sorted(set(pa.concat_tables(rows_of(b, BAND) for b in blocks)
+                      ["entity_key"].to_pylist()))
+    want = oracle.cluster_surface_keys(surf)
+    sizes = {}
+    for root in want.values():
+        sizes[root] = sizes.get(root, 1) + 1
+    assert max(sizes.values()) >= 3, sizes
+
+    one_task = ray.get(kg._root_map(parts, True))
+    distributed = kg._root_map(parts, False)
+    if rootmap_budget is None:
+        distributed = ray.get(distributed)
+    else:
+        assert isinstance(distributed, ray.data.Dataset)
+        distributed = {r["node"]: r["root"] for r in distributed.take_all()}
+    assert one_task == want
+    assert distributed == want
+
+    got = {}
+    for plan in ("one_task", "distributed"):
+        _force_plan(monkeypatch, plan)
+        tables = kg.kg_tables(parts, KGConfig(), "",
+                              tables=("nodes", "edges", "key_map"))
+        got[plan] = {name: _ipc(_collect(ds)) for name, ds in tables.items()}
+    assert got["one_task"] == got["distributed"]
+    key_map = pa.ipc.open_stream(got["one_task"]["key_map"]).read_all()
+    assert key_map.num_rows == len(surf)
+    assert len(set(key_map["canonical_id"].to_pylist())) == len(surf) - len(want)
 
 
 # the one-task cases keep the ids they had before the plan was a parameter
@@ -150,11 +241,11 @@ def test_forced_clusters_match_oracle(tiny_docs, tiny_fixture, oracle_result,
 
     _force_plan(monkeypatch, plan)
     if path == "broadcast":
-        monkeypatch.setattr(kg, "_root_map", lambda parts: ray.put(roots))
+        monkeypatch.setattr(kg, "_root_map", lambda parts, one_task: ray.put(roots))
     else:
         stars = pa.table({"node": list(roots), "root": list(roots.values())})
-        monkeypatch.setattr(kg, "_root_map",
-                            lambda parts: ray.data.from_arrow(stars).materialize())
+        monkeypatch.setattr(kg, "_root_map", lambda parts, one_task: (
+            ray.data.from_arrow(stars).materialize()))
     tables = kg.kg_tables(tiny_docs, KGConfig(), tiny_fixture,
                           tables=("mentions", "nodes", "edges", "key_map"))
 
@@ -303,6 +394,9 @@ def test_broadcast_root_map_fetched_once_per_process(ray_session, monkeypatch):
     assert len(gets) == 1
     assert kg.canonicalize_nodes(batch, ray.put(roots)).equals(want)
     assert len(gets) == 2
+    # a call without a ref (a dict, or star-join roots) drops the cached map
+    kg.canonicalize_nodes(batch, None)
+    assert kg._last_roots == (None, None)
 
 
 @pytest.mark.parametrize("rootmap_budget", [None, "0"],
@@ -312,12 +406,14 @@ def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path
     """Both runners go through one graph builder: the checkpointed phase-2
     nodes/edges (built from the phase-1 docs Parquet) equal the streaming
     kg_tables output, on the broadcast root-map branch and on the star-join
-    branch (broadcast budget forced to 0)."""
+    branch (broadcast budget forced to 0, on the distributed graph plan,
+    whose root map is the one that reads that budget)."""
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
     from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
 
     if rootmap_budget is not None:
+        _force_plan(monkeypatch, "distributed")
         monkeypatch.setenv("GRAFT_ROOTMAP_BROADCAST_BUDGET", rootmap_budget)
     cfg = KGConfig()
     docs = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
