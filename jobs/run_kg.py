@@ -2,9 +2,14 @@
 submitted with `ray job submit` to fixed-size clusters).
 
     ray start --head
-    ray job submit --working-dir /root/repo -- python jobs/run_kg.py \
+    ray job submit --working-dir . -- python jobs/run_kg.py \
         --sf 0.01 --out /tmp/kg_out
     ray stop
+
+It runs the resumable checkpointed runner (pipelines/checkpointed.py): the
+phase-1 tables go to ``{out}/{docs,mentions,groups,triples,parts}``, the
+graph to ``{out}/graph/{nodes,edges}``, and a re-run into the same ``--out``
+resumes. It prints one JSON summary line.
 
 Also runs standalone (`python jobs/run_kg.py ...`): Ray Data auto-initialises,
 attaching to a running cluster when RAY_ADDRESS is set.
@@ -27,8 +32,6 @@ def main() -> None:
     ap.add_argument("--fixture-dir", default=None,
                     help="existing pages fixture dir (overrides --sf)")
     ap.add_argument("--out", default="/tmp/kg_out")
-    ap.add_argument("--checkpointed", action="store_true",
-                    help="resumable per-partition runner instead of streaming")
     args = ap.parse_args()
 
     import ray
@@ -40,16 +43,10 @@ def main() -> None:
 
     from ner_backend_ray.fixtures.pages import generate_pages
     from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
 
     fixture_dir = args.fixture_dir or generate_pages(args.sf)
-    cfg = KGConfig()
-
-    if args.checkpointed:
-        from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
-        summary = run_kg_checkpointed(fixture_dir, args.out, cfg)
-    else:
-        from ner_backend_ray.pipelines.kg import run_kg_streaming
-        summary = run_kg_streaming(fixture_dir, cfg, out_dir=args.out)
+    summary = run_kg_checkpointed(fixture_dir, args.out, KGConfig())
 
     print(json.dumps({"fixture_dir": fixture_dir, "out": args.out, **summary}))
     ray.shutdown()

@@ -1,4 +1,5 @@
-"""Checkpointed, resumable KG run: per-partition outputs + lineage + counters.
+"""The KG runner that writes: per-partition outputs + lineage + counters,
+resumable.
 
 North-rule requirement (SURVEY.md §4 "checkpoint / resume"): the reference's
 checkpoint is its task-status DB (cmd/local/main.go:75-106 — QUEUED tasks re-published
@@ -8,26 +9,28 @@ on boot, no partial-task resume). Ours is file-system-native:
   InferenceTask shard, internal/storage/file_system_connector_utils.go:12-63; at real
   scale a shard is a ~200 MB-10 GB file, processor.go:715-718).
 - Phase 1 (embarrassingly parallel, no shuffle) runs as one Ray Data task per
-  file over the *task list* dataset: each task processes one file through the
-  same extract → ``TagDocs`` kernel as the streaming pipeline, built from the
-  same ``tag_docs_kwargs`` once per worker process (stages/kernel.py), so
-  linking happens inside ``TagDocs``, and the task appends the file's
-  partials to its tag output (``kg.with_partials``). It splits that union by
-  kind into ``{out}/{table}/part-{pid}.parquet``, written atomically
-  (tmp + rename): ``docs`` (url, token_count), ``mentions``, ``groups``,
-  ``triples`` and ``parts`` (LSH band rows, node partials, raw edge
-  partials), and finally ``{out}/_lineage/part-{pid}.json`` with input
-  fingerprint + row counters. A partition's outputs are a pure function of
-  its input file and every write is atomic, so a retried task (its worker died)
-  and a resumed run are both byte-identical.
+  file over the *task list* dataset. Each task streams its file,
+  ``cfg.batch_size`` rows at a time, through extract and the streaming
+  pipeline's phase-1 function (``kg.tag_batches`` with ``kg.tag_kernel``,
+  built once per worker process), so it holds one file's tag output at
+  most, never the corpus's. It splits that union by kind into
+  ``{out}/{table}/part-{pid}.parquet``, written atomically (tmp + rename):
+  ``docs`` (url, token_count), ``mentions``, ``groups``, ``triples`` and
+  ``parts`` (LSH band rows, node partials, raw edge partials), and finally
+  ``{out}/_lineage/part-{pid}.json`` with input fingerprint + row counters.
+  A partition's outputs are a pure function of its input file and every
+  write is atomic, so a retried task (its worker died) and a resumed run
+  are both byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
-  fingerprint; partially-written partitions (no lineage yet) are overwritten.
+  fingerprint; partially-written partitions (no lineage yet) are overwritten,
+  and the partitions of an earlier run over more input files are removed.
 - Phase 2 (canonicalize, nodes, edges) reads only ``{out}/parts`` into the
   streaming pipeline's graph builder (``kg_tables``), asking it for nodes and
   edges, so it gets the same plan: one task per stage and no shuffle while
   the partials fit the builder's byte budget, the distributed shuffles above
-  it. It re-runs whole; it is cheap relative to phase 1 and guarded by a
-  ``_SUCCESS`` marker with the set of contributing partitions.
+  it. It writes ``{out}/graph/{nodes,edges}``, re-runs whole (it is cheap
+  relative to phase 1) and is guarded by a ``_SUCCESS`` marker with the set
+  of contributing partitions.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ import ray.data
 
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
-from ..stages.kernel import per_process
-from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, TagDocs, rows_of
-from .kg import combined_partials, kg_tables, tag_docs_kwargs, with_partials
+from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, rows_of
+from .kg import combined_partials, kg_tables, tag_batches, tag_kernel
 
 
 def _fingerprint(path: str) -> dict:
@@ -61,64 +63,41 @@ def _atomic_write(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _file_batches(path: str, batch_size: int, columns: list[str]):
-    """``columns`` of the Parquet file at ``path``, ``batch_size`` rows per
-    table; a 0-row file yields one empty table, so its partition is still
-    written with typed, zero-row tables."""
-    pf = pq.ParquetFile(path)
-    empty = True
-    for rb in pf.iter_batches(batch_size=batch_size, columns=columns):
-        empty = False
-        yield pa.Table.from_batches([rb])
-    if empty:
-        yield pf.schema_arrow.empty_table().select(columns)
+def _write_partition(path: str, pid: int, kernel, out_dir: str,
+                     batch_size: int) -> None:
+    """Phase 1 of one input file: its pages, ``batch_size`` rows per batch,
+    through extract and ``tag_batches``, split by kind into the partition's
+    tables, then its lineage entry. A 0-row file yields no batch and gets
+    typed, zero-row tables."""
+    t0 = time.monotonic()
+    pages = pq.ParquetFile(path).iter_batches(batch_size=batch_size,
+                                              columns=["url", "html", "text"])
+    tagged = tag_batches((extract_text_batch(pa.Table.from_batches([rb]))
+                          for rb in pages), kernel)
+    tables = {"docs": rows_of(tagged, DOC), "mentions": rows_of(tagged, MENTION),
+              "groups": rows_of(tagged, GROUP), "triples": rows_of(tagged, TRIPLE),
+              "parts": combined_partials(tagged)}
+    for name, table in tables.items():
+        d = os.path.join(out_dir, name)
+        os.makedirs(d, exist_ok=True)
+        _atomic_write(table, os.path.join(d, f"part-{pid:05d}.parquet"))
 
-
-class PartitionWorker:
-    """Per-file phase-1 kernel: model + alias dict loaded once per worker
-    process (in the shared ``TagDocs`` kernel, via ``per_process``); each
-    __call__ processes whole input files (batch of task rows) and checkpoints
-    them."""
-
-    def __init__(self, cfg: KGConfig, fixture_dir: str, out_dir: str, batch_size: int):
-        self.tagger = TagDocs(**tag_docs_kwargs(cfg, fixture_dir))
-        self.out_dir = out_dir
-        self.batch_size = batch_size
-
-    def __call__(self, batch: dict) -> pa.Table:
-        for path, pid in zip(batch["path"], batch["pid"]):
-            self._process_file(str(path), int(pid))
-        return pa.table({"pid": pa.array(batch["pid"], pa.int64())})
-
-    def _process_file(self, path: str, pid: int) -> None:
-        t0 = time.monotonic()
-        tagged = with_partials(pa.concat_tables([
-            self.tagger(extract_text_batch(tbl).select(["url", "html"]))
-            for tbl in _file_batches(path, self.batch_size, ["url", "html", "text"])]))
-        tables = {"docs": rows_of(tagged, DOC), "mentions": rows_of(tagged, MENTION),
-                  "groups": rows_of(tagged, GROUP), "triples": rows_of(tagged, TRIPLE),
-                  "parts": combined_partials(tagged)}
-        for name, table in tables.items():
-            d = os.path.join(self.out_dir, name)
-            os.makedirs(d, exist_ok=True)
-            _atomic_write(table, os.path.join(d, f"part-{pid:05d}.parquet"))
-
-        lineage = {
-            "pid": pid,
-            "input": _fingerprint(path),
-            "rows": tables["docs"].num_rows,
-            "mentions": tables["mentions"].num_rows,
-            "groups": tables["groups"].num_rows,
-            "triples": tables["triples"].num_rows,
-            "token_count": int(pa.compute.sum(tables["docs"]["token_count"]).as_py() or 0),
-            "wall_sec": round(time.monotonic() - t0, 3),
-        }
-        ldir = os.path.join(self.out_dir, "_lineage")
-        os.makedirs(ldir, exist_ok=True)
-        tmp = os.path.join(ldir, f"part-{pid:05d}.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(lineage, f)
-        os.replace(tmp, os.path.join(ldir, f"part-{pid:05d}.json"))
+    lineage = {
+        "pid": pid,
+        "input": _fingerprint(path),
+        "rows": tables["docs"].num_rows,
+        "mentions": tables["mentions"].num_rows,
+        "groups": tables["groups"].num_rows,
+        "triples": tables["triples"].num_rows,
+        "token_count": int(pa.compute.sum(tables["docs"]["token_count"]).as_py() or 0),
+        "wall_sec": round(time.monotonic() - t0, 3),
+    }
+    ldir = os.path.join(out_dir, "_lineage")
+    os.makedirs(ldir, exist_ok=True)
+    tmp = os.path.join(ldir, f"part-{pid:05d}.json.tmp")
+    with open(tmp, "w") as f:
+        json.dump(lineage, f)
+    os.replace(tmp, os.path.join(ldir, f"part-{pid:05d}.json"))
 
 
 def completed_partitions(out_dir: str) -> dict[int, dict]:
@@ -138,6 +117,12 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
     cfg = cfg or KGConfig()
     files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "part-*.parquet")))
     done = completed_partitions(out_dir)
+    for pid in done.keys() - set(range(len(files))):
+        # left by an earlier run over more input files: phase 2 would read
+        # it. The lineage entry goes last, so a cut cleanup is redone.
+        stale = glob.glob(os.path.join(out_dir, "*", f"part-{pid:05d}.parquet"))
+        for path in stale + [os.path.join(out_dir, "_lineage", f"part-{pid:05d}.json")]:
+            os.remove(path)
 
     tasks = []
     for pid, path in enumerate(files):
@@ -150,11 +135,16 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
     skipped = len(files) - len(tasks)
     if tasks:
+        kernel = tag_kernel(cfg, fixture_dir)
+
+        def tag_files(batch: dict) -> dict:
+            for path, pid in zip(batch["path"], batch["pid"]):
+                _write_partition(str(path), int(pid), kernel, out_dir,
+                                 cfg.batch_size)
+            return {"pid": batch["pid"]}
+
         (ray.data.from_items(tasks, override_num_blocks=len(tasks))
-            .map_batches(per_process(PartitionWorker, cfg=cfg,
-                                     fixture_dir=fixture_dir, out_dir=out_dir,
-                                     batch_size=cfg.batch_size),
-                         batch_size=1, concurrency=concurrency)
+            .map_batches(tag_files, batch_size=1, concurrency=concurrency)
             .materialize())
 
     done = completed_partitions(out_dir)
@@ -162,6 +152,7 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
             "partitions_skipped": skipped,
             "rows": sum(e["rows"] for e in done.values()),
             "mentions": sum(e["mentions"] for e in done.values()),
+            "groups": sum(e["groups"] for e in done.values()),
             "triples": sum(e["triples"] for e in done.values()),
             "token_count": sum(e["token_count"] for e in done.values())}
 
@@ -170,14 +161,16 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
     """Graph phase over the phase-1 ``parts`` Parquet: nodes + edges, sorted,
     written with a _SUCCESS marker recording the contributing partitions. Each
     run replaces the graph tables whole, so a re-run after more partitions
-    completed does not append to the previous graph."""
+    completed does not append to the previous graph; a run over the same
+    partitions is skipped and returns the marker's counts."""
     cfg = cfg or KGConfig()
     done = sorted(completed_partitions(out_dir))
     marker = os.path.join(out_dir, "graph", "_SUCCESS")
     if os.path.exists(marker):
         with open(marker) as f:
-            if json.load(f).get("partitions") == done:
-                return {"skipped": True}
+            last = json.load(f)
+        if last.get("partitions") == done:
+            return {"skipped": True, "nodes": last["nodes"], "edges": last["edges"]}
 
     parts = ray.data.read_parquet(os.path.join(out_dir, "parts"))
     os.makedirs(os.path.dirname(marker), exist_ok=True)

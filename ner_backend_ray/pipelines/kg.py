@@ -1,4 +1,5 @@
-"""The flagship KG-construction pipeline and its one graph builder.
+"""The flagship KG-construction pipeline: its phase-1 function and its one
+graph builder.
 
     read_parquet(pages)                           ┐ ONE operator, one task per
       → map_batches(extract_text_batch)           │ read block (Ray Data's default
@@ -9,17 +10,20 @@
            worker process; the task appends the block's partials]
       → kg_tables(tagged)                         [the graph builder below]
 
-The tag task emits ONE flat table per block in the union layout of
-stages/tag.py: a ``kind`` column plus null-padded typed columns, holding doc
-rows (url, token_count), linked mention rows, triple rows and group rows,
-then the block's LSH band rows, node partials and raw edge partials
-(``with_partials``). ``kg_tables`` is the only graph builder. The streaming
-runner feeds it the materialized tag output; the checkpointed runner
-(pipelines/checkpointed.py) feeds it the phase-1 ``parts/`` Parquet, built
-by the same ``TagDocs`` kernel with the same ``tag_docs_kwargs`` and the
-same ``with_partials``. The builder is a declared table of stages, name →
-(deps, fn), and one small scheduler (``_run_stages``) runs the ancestors of
-the requested tables, each once its deps are done:
+Phase 1 is one function, ``tag_batches``: ``TagDocs`` over each batch of
+extracted pages, then ``with_partials`` over their concatenation. The tag
+output is ONE flat table in the union layout of stages/tag.py: a ``kind``
+column plus null-padded typed columns, holding doc rows (url,
+token_count), linked mention rows, triple rows and group rows, then the
+LSH band rows, node partials and raw edge partials. ``tag_pages`` runs it
+per read block and keeps the output in the object store (the in-memory
+path of the queries and the benchmarks); the one writing runner
+(pipelines/checkpointed.py) runs it per input file, streaming the file's
+batches, and writes the output as Parquet. ``kg_tables`` is the only graph
+builder, fed the materialized tag output or the phase-1 ``parts/``
+Parquet. It is a declared table of stages, name → (deps, fn), and one
+small scheduler (``_run_stages``) runs the ancestors of the requested
+tables, each once its deps are done:
 
     parts      tagged → the partial rows (``combined_partials``),
                        compacted above the budget
@@ -73,7 +77,7 @@ from ..stages.canonicalize import (LSH_BANDS, bucket_pairs, canonical_id,
                                    lsh_band_arrays, partial_node_counts)
 from ..stages.extract import extract_text_batch
 from ..stages.kernel import per_process
-from ..stages.tag import (BAND, DOC, EDGE, GROUP, KIND_COLUMNS, MENTION, NODE,
+from ..stages.tag import (BAND, EDGE, GROUP, KIND_COLUMNS, MENTION, NODE,
                           TRIPLE, UNION_SCHEMA, TagDocs, rows_of, union_of)
 
 
@@ -114,15 +118,6 @@ def _graph_budget() -> int:
     return ray.data.DataContext.get_current().target_max_block_size or 0
 
 
-def _edge_buckets() -> int:
-    """Reduce width of a bucketed int64-key aggregate: tracks cluster size
-    (2 buckets per core, floored at the measured-good single-node value)
-    instead of a fixed ``& 63`` mask — a 64-way reduce caps the final
-    aggregation at 64 tasks on a 4000-core cluster, and a skewed key
-    distribution makes the cap worse."""
-    return max(64, 2 * _cluster_cpus())
-
-
 def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
     """The pages Parquet at Ray Data's default read parallelism (at least
     two blocks per CPU, and up to 200 blocks of ~1 MiB or more). When that
@@ -130,27 +125,50 @@ def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
     read fuses into the tag task (``tag_pages``); a split (``SplitBlocks``
     in the stats) keeps the read its own operator. ``filesystem``: optional
     pyarrow/fsspec filesystem (the object-store seam — reference reads pages
-    from S3, s3_connector.go:71-93)."""
+    from S3, s3_connector.go:71-93).
+
+    Files whose Parquet footer says 0 rows are left out: Ray's read task
+    drops a 0-row table, and Ray Data calls no map function on the empty
+    block it leaves, so a block without columns would reach the tag output.
+    When every file is empty they are all read, since a read needs a path."""
+    import pyarrow.dataset as pads
+
     from ..sources.fs import wrap_for_arrow
-    return ray.data.read_parquet(os.path.join(fixture_dir, "pages"),
-                                 filesystem=wrap_for_arrow(filesystem))
+    pages = pads.dataset(os.path.join(fixture_dir, "pages"), format="parquet",
+                         filesystem=wrap_for_arrow(filesystem))
+    paths = [f.path for f in pages.get_fragments() if f.metadata.num_rows]
+    return ray.data.read_parquet(paths or pages.files, filesystem=pages.filesystem)
 
 
-def tag_docs_kwargs(cfg: KGConfig, fixture_dir: str) -> dict:
-    """``TagDocs`` constructor kwargs: the one per-doc phase-1 kernel both
-    runners build. Linking is fused into it, so docs leave it with linked
-    mentions and triples."""
-    return dict(model_type=cfg.model_type, model_kwargs=cfg.model_kwargs,
-                tags=cfg.tags, custom_patterns=cfg.custom_patterns,
-                group_queries=cfg.group_queries, text_column="html",
-                alias_path=os.path.join(fixture_dir, "alias_dict.parquet"),
-                min_link_score=cfg.min_link_score)
+def tag_kernel(cfg: KGConfig, fixture_dir: str):
+    """The one per-doc phase-1 kernel both runners run: ``TagDocs`` (looked
+    up here at call time) as a batch function built once per worker process
+    (stages/kernel.py::per_process) and named after it. Linking is fused
+    into it, so docs leave it with linked mentions and triples."""
+    return per_process(TagDocs, model_type=cfg.model_type,
+                       model_kwargs=cfg.model_kwargs, tags=cfg.tags,
+                       custom_patterns=cfg.custom_patterns,
+                       group_queries=cfg.group_queries, text_column="html",
+                       alias_path=os.path.join(fixture_dir, "alias_dict.parquet"),
+                       min_link_score=cfg.min_link_score)
+
+
+def tag_batches(batches, kernel) -> pa.Table:
+    """Extracted page batches (url, html) → their tag output in the union
+    layout plus its partials: ``kernel`` (``tag_kernel``) runs on each
+    batch, and ``with_partials`` once over the concatenated result, so the
+    partials do not depend on how the pages were cut. No batches give a
+    typed empty union. The phase-1 function of both runners: ``tag_pages``
+    calls it per read block, the checkpointed phase 1 per input file."""
+    tagged = [kernel(batch) for batch in batches]
+    return with_partials(pa.concat_tables(tagged) if tagged
+                         else UNION_SCHEMA.empty_table())
 
 
 def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.data.Dataset:
     """pages → the tag output: one union-layout table per read block
     (stages/tag.py) holding the block's doc, mention, triple and group rows
-    and, built from them in the same task, its partials (``with_partials``).
+    and, built from them in the same task, its partials (``tag_batches``).
 
     Tagging and entity linking are FUSED into one ``TagDocs`` kernel: the alias
     dictionary is load-once state exactly like the model weights
@@ -163,27 +181,26 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     Read, extract and tag run as ONE operator, one task per read block (when
     the read splits no file, see ``read_pages``): the tag map takes whole
     blocks (``batch_size=None``) and feeds the kernel ``cfg.batch_size``
-    docs per call; the partials are built once per block, over the
-    concatenated calls, so they do not depend on ``cfg.batch_size``. A
-    block split on the read, or a ``batch_size`` or a ``concurrency`` on
-    this map (Ray fuses two task maps only when their concurrency caps
-    match, and the read sets none), makes Ray Data plan read and tag as two
-    operators with a queue and a CPU reservation between them, and the tag
-    stage then ran 1.3–1.6 tasks wide on 4 CPUs (fused: 2.2–2.5). This is
-    inference fused with the scan that feeds it and with the combiners that
-    consume it (ICDE 2025, "Machine Learning Inference Pipeline Execution
-    Using Pure SQL Based on Operator Fusion")."""
+    docs per call. A block split on the read, or a ``batch_size`` or a
+    ``concurrency`` on this map (Ray fuses two task maps only when their
+    concurrency caps match, and the read sets none), makes Ray Data plan
+    read and tag as two operators with a queue and a CPU reservation
+    between them, and the tag stage then ran 1.3–1.6 tasks wide on 4 CPUs
+    (fused: 2.2–2.5). This is inference fused with the scan that feeds it
+    and with the combiners that consume it (ICDE 2025, "Machine Learning
+    Inference Pipeline Execution Using Pure SQL Based on Operator
+    Fusion")."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
     # the tagger works on raw bytes (html); drop everything else before the
     # tag stage so only (url, html) moves through the object store
     ds = ds.select_columns(["url", "html"])
-    kernel = per_process(TagDocs, **tag_docs_kwargs(cfg, fixture_dir))
+    kernel = tag_kernel(cfg, fixture_dir)
     step = cfg.batch_size
 
     def tag_block(block: pa.Table) -> pa.Table:
-        return with_partials(pa.concat_tables(
-            [kernel(block.slice(i, step)) for i in range(0, block.num_rows, step)]))
+        return tag_batches((block.slice(i, step)
+                            for i in range(0, block.num_rows, step)), kernel)
 
     tag_block.__name__ = kernel.__name__
     return ds.map_batches(tag_block, batch_size=None, batch_format="pyarrow",
@@ -616,24 +633,3 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
             .materialize())),
     }
     return _run_stages(stages, tables, timings)
-
-
-def run_kg_streaming(fixture_dir: str, cfg: KGConfig | None = None,
-                     out_dir: str | None = None) -> dict:
-    """End-to-end streaming run. Returns summary counts; when ``out_dir`` is
-    given, writes each table to ``{out_dir}/{name}``, replacing what a
-    previous run left there."""
-    cfg = cfg or KGConfig()
-    tagged = tag_pages(read_pages(fixture_dir), cfg, fixture_dir).materialize()
-    tables = kg_tables(tagged, cfg, fixture_dir)
-
-    summary: dict[str, int] = {}
-    for name in ("mentions", "groups", "triples", "nodes", "edges"):
-        ds = tables[name]
-        if out_dir is not None:
-            ds = ds.materialize()
-            ds.write_parquet(os.path.join(out_dir, name), mode="overwrite")
-        summary[name] = ds.count()
-    summary["docs"] = tagged.map_batches(rows_of, fn_args=(DOC,),
-                                         batch_format="pyarrow").count()
-    return summary

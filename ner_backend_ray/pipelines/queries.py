@@ -46,8 +46,7 @@ from ..ops.textstats import fingerprint_batch, quality_features
 from ..ops.window import session_windows, sliding_window, tumbling_window
 from ..stages.kernel import per_process
 from ..stages.tag import GROUP, MENTION, TagDocs, rows_of
-from .kg import (_cluster_cpus, _edge_buckets, kg_tables, read_pages,
-                 tag_pages)
+from .kg import _cluster_cpus, kg_tables, read_pages, tag_pages
 
 HOUR_US = 3_600_000_000
 GAP_US = 1_800_000_000
@@ -1060,7 +1059,9 @@ def q_price_quantiles(sf_dir: str) -> pa.Table:
     final rank pick reads it on the driver — a bounded small result, not a
     dataset materialization."""
     ds = _tbl(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
-    n_buckets = _edge_buckets()
+    # reduce width: 2 buckets per core, floored at 64; a fixed 64-way mask
+    # would cap the final reduce at 64 tasks however wide the cluster
+    n_buckets = max(64, 2 * _cluster_cpus())
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)

@@ -403,8 +403,8 @@ def test_broadcast_root_map_fetched_once_per_process(ray_session, monkeypatch):
                          ids=["broadcast", "star_join"])
 def test_checkpointed_graph_equals_streaming(ray_session, tiny_fixture, tmp_path,
                                              monkeypatch, rootmap_budget):
-    """Both runners go through one graph builder: the checkpointed phase-2
-    nodes/edges (built from the phase-1 docs Parquet) equal the streaming
+    """Both paths go through one graph builder: the checkpointed phase-2
+    nodes/edges (built from the phase-1 parts Parquet) equal the in-memory
     kg_tables output, on the broadcast root-map branch and on the star-join
     branch (broadcast budget forced to 0, on the distributed graph plan,
     whose root map is the one that reads that budget)."""
@@ -561,15 +561,16 @@ class CrashOnceTagDocs(TagDocs):
 """
 
 _CRASH_RUN = """
-import json, os, sys
+import glob, json, os, sys
 import pyarrow as pa, ray, ray.data
 ray.init(num_cpus=2, include_dashboard=False, logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
 from crash_once import MARKER, CrashOnceTagDocs
 from ner_backend_ray.oracle import KGConfig
 from ner_backend_ray.pipelines import kg
+from ner_backend_ray.pipelines.checkpointed import run_phase1
 
-fx = sys.argv[1]
+fx, work = sys.argv[1], sys.argv[2]
 
 def docs():
     ds = kg.tag_pages(kg.read_pages(fx), KGConfig(), fx)
@@ -583,11 +584,24 @@ def ipc_bytes(t):
         w.write_table(t)
     return sink.getvalue().to_pybytes()
 
-want = docs()
+def phase1_files(name):
+    \"\"\"run_phase1 into a fresh directory → {table/part file: its bytes}.\"\"\"
+    out = os.path.join(work, name)
+    run_phase1(fx, out, KGConfig())
+    files = glob.glob(os.path.join(out, "*", "part-*.parquet"))
+    return {os.path.relpath(f, out): open(f, "rb").read() for f in files}
+
+want, want_files = docs(), phase1_files("want")
 kg.TagDocs = CrashOnceTagDocs
 got = docs()
-print(json.dumps({"crashed": os.path.exists(MARKER), "rows": got.num_rows,
-                  "same_bytes": ipc_bytes(got) == ipc_bytes(want)}))
+ok = {"crashed": os.path.exists(MARKER), "rows": got.num_rows,
+      "same_bytes": ipc_bytes(got) == ipc_bytes(want)}
+os.remove(MARKER)  # arm the crash again, for a phase-1 task
+got_files = phase1_files("got")
+ok.update({"phase1_crashed": os.path.exists(MARKER),
+           "phase1_files": len(got_files),
+           "phase1_same_bytes": got_files == want_files})
+print(json.dumps(ok))
 ray.shutdown()
 """
 
@@ -595,7 +609,9 @@ ray.shutdown()
 def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
     """A worker dies in the middle of a tag task: the task is retried on a
     fresh worker, which builds its own kernel, and the docs equal an
-    uncrashed tag_pages run."""
+    uncrashed tag_pages run. The same holds for a checkpointed phase-1
+    task: every ``part-*.parquet`` it writes is byte-identical to an
+    uncrashed run's."""
     import json
     import subprocess
     import sys
@@ -604,14 +620,19 @@ def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
     (tmp_path / "crash_once.py").write_text(
         _CRASH_ONCE_MODULE.format(marker=marker))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    proc = subprocess.run([sys.executable, "-c", _CRASH_RUN, tiny_fixture],
+    proc = subprocess.run([sys.executable, "-c", _CRASH_RUN, tiny_fixture,
+                           str(tmp_path)],
                           cwd=root,
                           env={**os.environ,
                                "PYTHONPATH": os.pathsep.join([root, str(tmp_path)])},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     ok = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert ok["crashed"] and ok["rows"] > 0 and ok["same_bytes"], ok
+    n_files = 5 * len(glob.glob(os.path.join(tiny_fixture, "pages", "part-*.parquet")))
+    assert ok == {"crashed": True, "rows": ok["rows"], "same_bytes": True,
+                  "phase1_crashed": True, "phase1_files": n_files,
+                  "phase1_same_bytes": True}, ok
+    assert ok["rows"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -701,15 +722,13 @@ def test_empty_pages_through_both_runners(ray_session, tiny_fixture, tmp_path,
         n: counts[n] for n in ("mentions", "triples", "nodes", "edges")}
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: Ray's Parquet read drops a 0-row file's table, and Ray "
-    "calls no map function on an empty block, so a 0-row block without "
-    "columns reaches docs"))
 def test_empty_pages_file_leaves_no_schemaless_docs_block(ray_session,
                                                           tiny_fixture,
                                                           tmp_path):
     """With one pages file at 0 rows, every block of the tag output carries
-    the union schema, empty blocks included."""
+    the union schema, empty blocks included: ``read_pages`` leaves the 0-row
+    file out, since Ray's Parquet read drops its table and Ray calls no map
+    function on the column-less block that leaves."""
     import ray
 
     from ner_backend_ray.oracle import KGConfig
@@ -772,9 +791,42 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
         got = pq.read_table(os.path.join(resume_dir, "graph", table)).sort_by(order)
         assert got.equals(want), table
 
-    # second resume is a no-op
+    # second resume is a no-op that still reports the graph's counts
     s3 = run_kg_checkpointed(tiny_fixture, resume_dir, cfg, concurrency=2)
     assert s3["partitions_run"] == 0 and s3.get("skipped") is True
+    assert (s3["nodes"], s3["edges"]) == (s["nodes"], s["edges"])
+
+
+def test_rerun_over_fewer_files_drops_stale_partitions(ray_session, tiny_fixture,
+                                                      tmp_path):
+    """A run into an output directory left by a run over more input files
+    removes that run's extra partitions: its summary, its ``parts/`` files
+    and its graph equal a fresh run's."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    for f in sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))[-2:]:
+        os.remove(f)
+    cfg = KGConfig()
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    run_kg_checkpointed(tiny_fixture, out, cfg, concurrency=2)
+    got = run_kg_checkpointed(fx, out, cfg, concurrency=2)
+    want = run_kg_checkpointed(fx, fresh, cfg, concurrency=2)
+
+    counts = ("partitions_total", "rows", "mentions", "groups", "triples",
+              "token_count", "nodes", "edges")
+    assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
+    assert got["partitions_skipped"] == want["partitions_total"]
+
+    def listing(d):
+        return sorted(os.path.relpath(p, d) for p in
+                      glob.glob(os.path.join(d, "*", "part-*")))
+    assert listing(out) == listing(fresh)
+    for name in ("nodes", "edges"):
+        assert _ipc(pq.read_table(os.path.join(out, "graph", name))) == _ipc(
+            pq.read_table(os.path.join(fresh, "graph", name))), name
 
 
 def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle_result):
@@ -961,24 +1013,45 @@ def test_output_schemas_are_pinned(tiny_docs, tiny_fixture, tmp_path):
             for n in want} == want
 
 
-@pytest.mark.parametrize("runner", ["streaming", "checkpointed"])
-def test_run_kg_job_entrypoint(tiny_fixture, oracle_result, tmp_path, runner):
+def test_phase1_parts_equal_streaming_partials(tiny_docs, tiny_fixture, tmp_path):
+    """The checkpointed phase 1 and ``tag_pages`` run one phase-1 function,
+    per input file and per read block: on the tiny fixture (one read block
+    per file), the ``parts/`` Parquet holds, sorted, byte for byte the rows
+    of the streaming ``combined_partials``."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_phase1
+    from ner_backend_ray.pipelines.kg import combined_partials
+
+    out = str(tmp_path / "ckpt")
+    run_phase1(tiny_fixture, out, KGConfig(), concurrency=2)
+    written = pq.read_table(os.path.join(out, "parts"))
+    streamed = _collect(tiny_docs.map_batches(combined_partials,
+                                              batch_format="pyarrow"))
+    assert written.num_rows > 0
+    assert _ipc(written) == _ipc(streamed)
+
+
+def test_run_kg_job_entrypoint(tiny_fixture, oracle_result, tmp_path):
     """``jobs/run_kg.py``, the ``ray job submit`` entrypoint, run as its own
-    process over the tiny fixture: its JSON summary has the oracle's
-    mention, triple, node and edge counts."""
+    process over the tiny fixture: its JSON summary has the oracle's doc,
+    mention, group, triple, node and edge counts, and the graph lands under
+    ``{out}/graph/``."""
     import json
     import subprocess
     import sys
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cmd = [sys.executable, os.path.join(root, "jobs", "run_kg.py"),
-           "--fixture-dir", tiny_fixture, "--out", str(tmp_path / "out")]
-    if runner == "checkpointed":
-        cmd.append("--checkpointed")
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=600)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, os.path.join(root, "jobs", "run_kg.py"),
+                           "--fixture-dir", tiny_fixture, "--out", str(out)],
+                          cwd=root, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    names = ("mentions", "triples", "nodes", "edges")
+    names = ("mentions", "groups", "triples", "nodes", "edges")
     assert {n: summary[n] for n in names} == {
         n: oracle_result[n].num_rows for n in names}
+    stats = oracle_result["stats"]
+    assert (summary["rows"], summary["token_count"]) == (
+        stats["n_docs"][0].as_py(), stats["total_tokens"][0].as_py())
+    for name in ("nodes", "edges"):
+        assert pq.read_table(out / "graph" / name).num_rows == summary[name]
