@@ -23,14 +23,17 @@ on boot, no partial-task resume). Ours is file-system-native:
   are both byte-identical.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten,
-  and the partitions of an earlier run over more input files are removed.
+  and every file of a partition past the input files (an earlier run over
+  more files) is removed.
 - Phase 2 (canonicalize, nodes, edges) reads only ``{out}/parts`` into the
   streaming pipeline's graph builder (``kg_tables``), asking it for nodes and
   edges, so it gets the same plan: one task per stage and no shuffle while
   the partials fit the builder's byte budget, the distributed shuffles above
   it. It writes ``{out}/graph/{nodes,edges}``, re-runs whole (it is cheap
   relative to phase 1) and is guarded by a ``_SUCCESS`` marker with the set
-  of contributing partitions.
+  of contributing partitions. Phase 1 removes that marker before it changes
+  ``parts`` (a re-tagged input file, a removed partition), so a graph is
+  never reported as current over partials it was not built from.
 """
 
 from __future__ import annotations
@@ -116,14 +119,12 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
     exists for the kill/resume test (process only the first k partitions)."""
     cfg = cfg or KGConfig()
     files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "part-*.parquet")))
+    # Files of partitions past the input files, left by an earlier run over
+    # more files (finished, cut before its lineage entry, or cut mid-write
+    # as a .tmp): phase 2 reads every file under parts/.
+    stale = [p for p in glob.glob(os.path.join(out_dir, "*", "part-*"))
+             if int(os.path.basename(p)[5:].split(".")[0]) >= len(files)]
     done = completed_partitions(out_dir)
-    for pid in done.keys() - set(range(len(files))):
-        # left by an earlier run over more input files: phase 2 would read
-        # it. The lineage entry goes last, so a cut cleanup is redone.
-        stale = glob.glob(os.path.join(out_dir, "*", f"part-{pid:05d}.parquet"))
-        for path in stale + [os.path.join(out_dir, "_lineage", f"part-{pid:05d}.json")]:
-            os.remove(path)
-
     tasks = []
     for pid, path in enumerate(files):
         entry = done.get(pid)
@@ -134,6 +135,14 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
         tasks = tasks[:max_partitions]
 
     skipped = len(files) - len(tasks)
+    if tasks or stale:
+        # parts/ is about to change, so the graph built from it is stale
+        # until phase 2 runs again; removed first, so a cut run leaves none.
+        marker = os.path.join(out_dir, "graph", "_SUCCESS")
+        if os.path.exists(marker):
+            os.remove(marker)
+    for path in stale:
+        os.remove(path)
     if tasks:
         kernel = tag_kernel(cfg, fixture_dir)
 
@@ -161,8 +170,9 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
     """Graph phase over the phase-1 ``parts`` Parquet: nodes + edges, sorted,
     written with a _SUCCESS marker recording the contributing partitions. Each
     run replaces the graph tables whole, so a re-run after more partitions
-    completed does not append to the previous graph; a run over the same
-    partitions is skipped and returns the marker's counts."""
+    completed does not append to the previous graph; a run whose marker
+    survived phase 1 (``parts`` unchanged) over the same partitions is
+    skipped and returns the marker's counts."""
     cfg = cfg or KGConfig()
     done = sorted(completed_partitions(out_dir))
     marker = os.path.join(out_dir, "graph", "_SUCCESS")

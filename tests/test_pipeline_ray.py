@@ -800,8 +800,9 @@ def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
 def test_rerun_over_fewer_files_drops_stale_partitions(ray_session, tiny_fixture,
                                                       tmp_path):
     """A run into an output directory left by a run over more input files
-    removes that run's extra partitions: its summary, its ``parts/`` files
-    and its graph equal a fresh run's."""
+    removes that run's extra partitions, also one cut before its lineage
+    entry and one cut mid-write: its summary, its ``parts/`` files and its
+    graph equal a fresh run's."""
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
 
@@ -811,7 +812,11 @@ def test_rerun_over_fewer_files_drops_stale_partitions(ray_session, tiny_fixture
         os.remove(f)
     cfg = KGConfig()
     out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
-    run_kg_checkpointed(tiny_fixture, out, cfg, concurrency=2)
+    s = run_kg_checkpointed(tiny_fixture, out, cfg, concurrency=2)
+    last = s["partitions_total"] - 1
+    os.remove(os.path.join(out, "_lineage", f"part-{last:05d}.json"))
+    shutil.copy(os.path.join(out, "parts", f"part-{last - 1:05d}.parquet"),
+                os.path.join(out, "parts", f"part-{last - 1:05d}.parquet.tmp"))
     got = run_kg_checkpointed(fx, out, cfg, concurrency=2)
     want = run_kg_checkpointed(fx, fresh, cfg, concurrency=2)
 
@@ -827,6 +832,39 @@ def test_rerun_over_fewer_files_drops_stale_partitions(ray_session, tiny_fixture
     for name in ("nodes", "edges"):
         assert _ipc(pq.read_table(os.path.join(out, "graph", name))) == _ipc(
             pq.read_table(os.path.join(fresh, "graph", name))), name
+
+
+def test_rerun_over_changed_file_rebuilds_graph(ray_session, tiny_fixture,
+                                                tmp_path):
+    """A run into an output directory after one pages file was rewritten
+    re-tags that partition and rebuilds the graph: the summary's counts and
+    ``graph/nodes`` and ``graph/edges`` equal a fresh run's, not the first
+    graph's."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    cfg = KGConfig()
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    first = run_kg_checkpointed(fx, out, cfg, concurrency=2)
+    first_nodes = pq.read_table(os.path.join(out, "graph", "nodes"))
+    path = sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))[0]
+    pages = pq.read_table(path)
+    pq.write_table(pages.slice(0, pages.num_rows // 2), path)
+    got = run_kg_checkpointed(fx, out, cfg, concurrency=2)
+    want = run_kg_checkpointed(fx, fresh, cfg, concurrency=2)
+
+    assert got["partitions_run"] == 1 and got["skipped"] is False
+    counts = ("rows", "mentions", "groups", "triples", "token_count",
+              "nodes", "edges")
+    assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
+    assert got["rows"] < first["rows"]
+    for name in ("nodes", "edges"):
+        assert _ipc(pq.read_table(os.path.join(out, "graph", name))) == _ipc(
+            pq.read_table(os.path.join(fresh, "graph", name))), name
+    assert _ipc(pq.read_table(os.path.join(out, "graph", "nodes"))) != _ipc(
+        first_nodes)
 
 
 def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle_result):
