@@ -2,8 +2,8 @@
 (internal/core/utils/text_utils.go:11-30): split into windows of `length`
 non-whitespace token spans, each window the byte slice from its first token's
 start to its last token's end, returning (windows, start_offsets). Used by the
-BOLT/python model paths (internal/core/bolt/bolt_unix.go:45-48) and by the
-oversized-document chunking stage (stages/chunk.py).
+BOLT/python model paths (internal/core/bolt/bolt_unix.go:45-48) and by
+``models/base.py::WindowedTagger``.
 """
 
 from __future__ import annotations

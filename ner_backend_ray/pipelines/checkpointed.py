@@ -56,8 +56,12 @@ from .kg import combined_partials, kg_tables, tag_batches, tag_kernel
 
 
 def _fingerprint(path: str) -> dict:
+    """What resume compares to decide an input file is unchanged: its base
+    name, byte size and modification time (ns). A rewrite that keeps both
+    the size and the mtime still passes as unchanged."""
     st = os.stat(path)
-    return {"path": os.path.basename(path), "size": st.st_size}
+    return {"path": os.path.basename(path), "size": st.st_size,
+            "mtime_ns": st.st_mtime_ns}
 
 
 def _atomic_write(table: pa.Table, path: str) -> None:

@@ -342,26 +342,6 @@ def _content_streams(page_body: bytes, objs: dict[int, bytes]) -> list[bytes]:
     return out
 
 
-def _dict_at(data: bytes, start: int) -> bytes:
-    """Balanced ``<< … >>`` slice with ``data[start:start+2] == b'<<'`` —
-    regex can't bound nested dicts (/Resources << /Font << … >> >>)."""
-    depth = 0
-    i = start
-    while i < len(data) - 1:
-        two = data[i:i + 2]
-        if two == b"<<":
-            depth += 1
-            i += 2
-        elif two == b">>":
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return data[start:i]
-        else:
-            i += 1
-    return data[start:]
-
-
 def _parse_cmap(data: bytes) -> tuple[int, dict[int, str]]:
     """/ToUnicode CMap (§9.10.3) → (code byte-width, code → text). Handles
     bfchar, bfrange with an incrementing base, and bfrange with an explicit

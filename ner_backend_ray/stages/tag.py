@@ -78,8 +78,8 @@ def union_of(kind: int, rows) -> pa.Table:
 
 def tagged_rows(docs: list[dict], mentions: list[dict], triples: list[dict],
                 groups: list[dict]) -> pa.Table:
-    """The row builder of ``TagDocs`` and of the chunked path's assemble
-    (stages/chunk.py): each kind's rows as dicts → one union table."""
+    """The row builder of ``TagDocs``: each kind's rows as dicts → one
+    union table."""
     return pa.concat_tables([union_of(DOC, docs), union_of(MENTION, mentions),
                              union_of(TRIPLE, triples), union_of(GROUP, groups)])
 

@@ -753,6 +753,40 @@ def test_extract_invariant_detects_mismatch(ray_session, tiny_fixture):
         extract_text_batch(bad)
 
 
+def test_page_over_one_mib_matches_oracle(ray_session, pages_2k, tmp_path):
+    """One page just over 1 MiB (benchmark pages joined with newlines) is
+    tagged whole, as one chunk at offset 0: nodes, edges and the mention,
+    triple and group counts of read → tag → graph equal the oracle's."""
+    from ner_backend_ray.oracle import KGConfig, run_oracle
+    from ner_backend_ray.pipelines.kg import kg_tables, read_pages, tag_pages
+
+    fx = tmp_path / "fixture"
+    (fx / "pages").mkdir(parents=True)
+    shutil.copy(os.path.join(pages_2k, "alias_dict.parquet"), fx)
+    html, size = [], 0
+    for h in pq.read_table(os.path.join(pages_2k, "pages"),
+                           columns=["html"])["html"].to_pylist():
+        if size > 1 << 20:
+            break
+        html.append(h)
+        size += len(h) + 1
+    page = b"\n".join(html)
+    assert 1 << 20 < len(page) < (1 << 20) + 4096
+    pq.write_table(pa.table({"url": ["http://big.example/0"], "html": [page],
+                             "text": [page.decode("utf-8", "ignore")]}),
+                   str(fx / "pages" / "part-00000.parquet"))
+
+    fx = str(fx)
+    want = run_oracle(fx)
+    cfg = KGConfig()
+    tables = kg_tables(tag_pages(read_pages(fx), cfg, fx).materialize(), cfg, fx)
+    for name in ("mentions", "triples", "groups"):
+        assert tables[name].count() == want[name].num_rows > 0, name
+    assert _collect(tables["nodes"]).equals(want["nodes"])
+    ecols = ["subj_id", "pred", "obj_id", "weight"]
+    assert _collect(tables["edges"]).select(ecols).equals(want["edges"].select(ecols))
+
+
 def test_checkpointed_resume_identical(ray_session, tiny_fixture, tmp_path):
     """Kill after k partitions → phase 2 over them → resume → outputs
     identical to a fresh run, the graph replaced rather than appended to."""
@@ -834,6 +868,29 @@ def test_rerun_over_fewer_files_drops_stale_partitions(ray_session, tiny_fixture
             pq.read_table(os.path.join(fresh, "graph", name))), name
 
 
+def _rerun_equals_fresh(fx: str, out: str, fresh: str,
+                        first_nodes: pa.Table) -> dict:
+    """Re-runs the checkpointed runner into ``out`` after one pages file of
+    ``fx`` changed: that one partition is re-tagged, and the summary's
+    counts and ``graph/nodes`` and ``graph/edges`` equal a fresh run's into
+    ``fresh``, not the first graph's. Returns the re-run's summary."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+
+    got = run_kg_checkpointed(fx, out, KGConfig(), concurrency=2)
+    want = run_kg_checkpointed(fx, fresh, KGConfig(), concurrency=2)
+    assert got["partitions_run"] == 1 and got["skipped"] is False
+    counts = ("rows", "mentions", "groups", "triples", "token_count",
+              "nodes", "edges")
+    assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
+    for name in ("nodes", "edges"):
+        assert _ipc(pq.read_table(os.path.join(out, "graph", name))) == _ipc(
+            pq.read_table(os.path.join(fresh, "graph", name))), name
+    assert _ipc(pq.read_table(os.path.join(out, "graph", "nodes"))) != _ipc(
+        first_nodes)
+    return got
+
+
 def test_rerun_over_changed_file_rebuilds_graph(ray_session, tiny_fixture,
                                                 tmp_path):
     """A run into an output directory after one pages file was rewritten
@@ -845,26 +902,62 @@ def test_rerun_over_changed_file_rebuilds_graph(ray_session, tiny_fixture,
 
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
-    cfg = KGConfig()
-    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
-    first = run_kg_checkpointed(fx, out, cfg, concurrency=2)
+    out = str(tmp_path / "out")
+    first = run_kg_checkpointed(fx, out, KGConfig(), concurrency=2)
     first_nodes = pq.read_table(os.path.join(out, "graph", "nodes"))
     path = sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))[0]
     pages = pq.read_table(path)
     pq.write_table(pages.slice(0, pages.num_rows // 2), path)
-    got = run_kg_checkpointed(fx, out, cfg, concurrency=2)
-    want = run_kg_checkpointed(fx, fresh, cfg, concurrency=2)
+    assert _rerun_equals_fresh(fx, out, str(tmp_path / "fresh"),
+                               first_nodes)["rows"] < first["rows"]
 
-    assert got["partitions_run"] == 1 and got["skipped"] is False
-    counts = ("rows", "mentions", "groups", "triples", "token_count",
-              "nodes", "edges")
-    assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
-    assert got["rows"] < first["rows"]
-    for name in ("nodes", "edges"):
-        assert _ipc(pq.read_table(os.path.join(out, "graph", name))) == _ipc(
-            pq.read_table(os.path.join(fresh, "graph", name))), name
-    assert _ipc(pq.read_table(os.path.join(out, "graph", "nodes"))) != _ipc(
-        first_nodes)
+
+def test_rerun_over_same_size_rewrite_rebuilds_graph(ray_session, tiny_fixture,
+                                                     tmp_path):
+    """A pages file rewritten with other pages of the same byte size (one
+    html byte swapped for another) and a new mtime is re-tagged on resume:
+    the summary's counts and ``graph/nodes`` and ``graph/edges`` equal a
+    fresh run's, not the first graph's."""
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    path = sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))[0]
+
+    def write_plain(pages: pa.Table) -> None:
+        # plain-encoded and uncompressed, so equal-length html gives an
+        # equal-size file
+        pq.write_table(pages, path, compression="none", use_dictionary=False,
+                       write_statistics=False)
+
+    pages = pq.read_table(path)
+    write_plain(pages)
+    out = str(tmp_path / "out")
+    run_kg_checkpointed(fx, out, KGConfig(), concurrency=2)
+    first_nodes = pq.read_table(os.path.join(out, "graph", "nodes"))
+
+    # the first letter of a mention in this file, A to Y, changed to the
+    # next letter: a different surface, the same byte count
+    mentions = pq.read_table(os.path.join(out, "mentions", "part-00000.parquet"))
+    urls, html = pages["url"].to_pylist(), pages["html"].to_pylist()
+    row, pos = next((urls.index(u), s) for u, s in zip(
+        mentions["url"].to_pylist(), mentions["start"].to_pylist())
+        if b"A" <= html[urls.index(u)][s:s + 1] <= b"Y")
+    doc = bytearray(html[row])
+    doc[pos] += 1
+    html[row] = bytes(doc)
+    size = os.path.getsize(path)
+    mtime_ns = os.stat(path).st_mtime_ns
+    write_plain(pages.set_column(pages.schema.get_field_index("html"), "html",
+                                 pa.array(html, pa.binary()))
+                .set_column(pages.schema.get_field_index("text"), "text",
+                            pa.array([h.decode("utf-8", "ignore") for h in html],
+                                     pa.string())))
+    assert os.path.getsize(path) == size
+    os.utime(path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
+
+    _rerun_equals_fresh(fx, out, str(tmp_path / "fresh"), first_nodes)
 
 
 def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle_result):
@@ -882,38 +975,6 @@ def test_checkpointed_matches_oracle(ray_session, tiny_fixture, tmp_path, oracle
     assert _table_key_set(got_e, ecols) == _table_key_set(oracle_result["edges"], ecols)
 
 
-def test_chunked_pipeline_matches_unchunked(ray_session, tiny_fixture):
-    """S6 semantics: tagging via whitespace-boundary chunks + per-doc assembly
-    produces the same mention spans / groups / token counts as whole-doc tagging."""
-    from ner_backend_ray.oracle import KGConfig
-    from ner_backend_ray.pipelines.kg import read_pages, tag_pages
-    from ner_backend_ray.stages.chunk import tag_chunked_pages
-    from ner_backend_ray.stages.tag import DOC, GROUP, MENTION, rows_of
-
-    cfg = KGConfig()
-    whole = tag_pages(read_pages(tiny_fixture), cfg, tiny_fixture).materialize()
-    chunked = tag_chunked_pages(read_pages(tiny_fixture), cfg,
-                                max_chunk_bytes=400, concurrency=2).materialize()
-
-    def mention_set(ds):
-        t = _collect(ds)
-        out = set(zip(*[rows_of(t, MENTION)[c].to_pylist()
-                        for c in ("url", "start", "end", "label")]))
-        toks = dict(zip(*[rows_of(t, DOC)[c].to_pylist()
-                          for c in ("url", "token_count")]))
-        groups = set(zip(*[rows_of(t, GROUP)[c].to_pylist()
-                           for c in ("url", "group_name")]))
-        return out, toks, groups
-
-    wm, wt, wg = mention_set(whole)
-    cm, ct, cg = mention_set(chunked)
-    assert wt == ct                       # token counts identical
-    assert wg == cg                       # group-query membership identical
-    # mention spans: identical up to CRF decisions at chunk boundaries; the
-    # fixture is deterministic so this either passes exactly or reveals a bug
-    assert wm == cm
-
-
 def test_split_text_reference_vectors():
     """Ports the reference's own test vectors (text_utils_test.go:10-38)."""
     from ner_backend_ray.core.split import split_text_custom_length, split_text
@@ -923,19 +984,6 @@ def test_split_text_reference_vectors():
     s, o = split_text(b"hello .!/////!!??world \n\n\n\n \t\t\t\t\t\t how are you")
     assert s == [b"hello .!/////!!??world \n\n\n\n \t\t\t\t\t\t how are you"]
     assert o == [0]
-
-
-def test_split_into_chunks_byte_exact():
-    from ner_backend_ray.stages.chunk import split_into_chunks
-    text = b"alpha beta gamma delta epsilon zeta " * 50
-    chunks = split_into_chunks(text, 100)
-    assert b"".join(c for _, c in chunks) == text
-    assert all(len(c) <= 100 for _, c in chunks)
-    offs = [o for o, _ in chunks]
-    assert offs == sorted(offs) and offs[0] == 0
-    # no token is ever cut: every chunk ends at a whitespace boundary (or EOF)
-    for off, c in chunks[:-1]:
-        assert c[-1:] in (b" ", b"\t", b"\n")
 
 
 def test_lineage_metrics_rollup(ray_session, tiny_fixture, tmp_path):
@@ -987,29 +1035,6 @@ def test_hot_key_skew_bounded_shuffle(ray_session):
     # 40k identical mentions → <= one partial row per block reaches the shuffle
     assert len(hot_rows) <= n_blocks
     assert sum(r["partial_count"] for r in hot_rows) == n_blocks * rows_per_block
-
-
-def test_assembled_doc_schema_matches_assemble_output():
-    """The empty-group table emitted by the bucketed assemble path must share
-    assemble()'s exact schema, or pa.concat_tables in the same stage fails."""
-    import pyarrow as pa
-
-    from ner_backend_ray.stages.chunk import make_assemble_docs
-    from ner_backend_ray.stages.tag import UNION_SCHEMA
-    assemble = make_assemble_docs(None, set(), None)
-    group = pa.table({
-        "url": pa.array(["http://a"], pa.string()),
-        "chunk_offset": pa.array([0], pa.int64()),
-        "chunk": pa.array([b"hello bob from spark"], pa.binary()),
-        "entities": pa.array([[]], pa.list_(pa.struct([
-            ("label", pa.string()), ("text", pa.binary()),
-            ("start", pa.int64()), ("end", pa.int64()),
-            ("lcontext", pa.binary()), ("rcontext", pa.binary())]))),
-    })
-    out = assemble(group)
-    assert out.schema == UNION_SCHEMA
-    merged = pa.concat_tables([out, UNION_SCHEMA.empty_table()])
-    assert merged.num_rows == 1
 
 
 _MENTIONS_FIELDS = [
