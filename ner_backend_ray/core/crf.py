@@ -3,6 +3,12 @@
 Reference semantics: internal/core/onnx.go:40-145 (CRF.ViterbiDecode, getWordIds,
 aggregatePredictions). Decode is float32 with first-maximum tie-breaking (the Go loop
 keeps the earliest strictly-greater index, which matches numpy argmax).
+
+``viterbi_decode`` decodes one sequence, as the reference does; the oracle and
+per-doc ``predict`` use it. ``viterbi_decode_batch`` decodes many at once and
+returns the same tags (the batch tagger uses it). ``get_word_ids`` and
+``aggregate_predictions`` serve the per-doc path; the batch tagger computes
+both with array operations (models/hash_tagger.py::predict_batch).
 """
 
 from __future__ import annotations
@@ -44,47 +50,55 @@ class CRF:
         return seq
 
     def viterbi_decode_batch(self, emissions_list: list[np.ndarray]) -> list[list[int]]:
-        """Batched decode, bit-identical per sequence to ``viterbi_decode``: the
-        per-timestep numpy kernels amortize over the batch (the per-doc decode is
-        dominated by small-array call overhead). Sequences shorter than the batch
-        max are frozen once exhausted (masked update)."""
+        """Batched decode, equal per sequence to ``viterbi_decode``: each
+        timestep is a few numpy calls for the whole batch.
+
+        The batch runs longest first and batch-last, in (tag, sequence)
+        arrays, so the max over the previous tag is an elementwise maximum
+        of contiguous rows, and a sequence leaves the batch after its last
+        step. The forward pass keeps each step's scores and takes no argmax
+        (``scores.max`` is the float the gather at ``argmax`` gives). The
+        back-trace re-derives the best previous tag only for the tag each
+        path takes: one masked argmax per timestep across the batch, with
+        the same first-maximum tie-break.
+        """
         if not emissions_list:
             return []
         n = self.num_tags
         lens = np.array([e.shape[0] for e in emissions_list], dtype=np.int64)
-        bsz = len(emissions_list)
-        lmax = int(lens.max())
+        order = np.argsort(-lens, kind="stable")
+        lens = lens[order]
+        bsz, lmax = len(order), int(lens[0])
         if lmax == 0:
             return [[] for _ in emissions_list]
-        em = np.zeros((bsz, lmax, n), dtype=np.float32)
-        for i, e in enumerate(emissions_list):
-            if e.shape[0]:
-                em[i, :e.shape[0]] = np.asarray(e, dtype=np.float32)
+        em = np.zeros((lmax, n, bsz), dtype=np.float32)
+        for j, i in enumerate(order.tolist()):
+            em[:lens[j], :, j] = emissions_list[i]
+        # active[t]: the sequences (a prefix) that have a step t
+        active = np.searchsorted(-lens, -np.arange(lmax), side="left").tolist()
 
-        dp = em[:, 0, :] + self.start_probs[None, :]
-        bps = np.empty((bsz, lmax, n), dtype=np.int64)
-        cols = np.arange(n)
+        dp = np.empty((lmax, n, bsz), dtype=np.float32)   # dp[t]: scores after step t
+        np.add(em[0], self.start_probs[:, None], out=dp[0])
+        trans = self.transitions[:, :, None]
         for t in range(1, lmax):
-            scores = dp[:, :, None] + self.transitions[None, :, :]   # (B, prev, curr)
-            best_prev = scores.argmax(axis=1)                        # first max, as Go
-            new_dp = np.take_along_axis(scores, best_prev[:, None, :],
-                                        axis=1)[:, 0, :] + em[:, t, :]
-            active = lens > t
-            dp = np.where(active[:, None], new_dp, dp)
-            bps[:, t, :] = best_prev
-        dp = dp + self.end_probs[None, :]
+            k = active[t]
+            scores = dp[t - 1, :, None, :k] + trans          # (prev, curr, k)
+            np.add(scores.max(axis=0), em[t, :, :k], out=dp[t, :, :k])
 
-        out: list[list[int]] = []
-        for i in range(bsz):
-            L = int(lens[i])
-            if L == 0:
-                out.append([])
-                continue
-            seq = [0] * L
-            seq[-1] = int(dp[i].argmax())
-            for t in range(L - 1, 0, -1):
-                seq[t - 1] = int(bps[i, t, seq[t]])
-            out.append(seq)
+        done = active[0]  # the rest are empty
+        last = dp[lens[:done] - 1, :, np.arange(done)] + self.end_probs  # (done, n)
+        cur = last.argmax(axis=1)
+        seq = np.empty((lmax, done), dtype=np.int64)
+        for t in range(lmax - 1, 0, -1):
+            seq[t] = cur
+            k = active[t]
+            # best previous tag of each path's tag at step t
+            cur[:k] = (dp[t - 1, :, :k] + self.transitions[:, cur[:k]]).argmax(axis=0)
+        seq[0] = cur
+        seq = seq.T
+        out: list[list[int]] = [[] for _ in emissions_list]
+        for j, i in enumerate(order[:done].tolist()):
+            out[i] = seq[j, :lens[j]].tolist()
         return out
 
 

@@ -39,11 +39,9 @@ class Entity:
 
 def create_entity(label: str, context: bytes, start: int, end: int) -> Entity:
     """Port of types.CreateEntity (entity.go:16-26)."""
-    return Entity(
-        label=label,
-        text=to_valid_utf8(context[start:end]),
-        start=start,
-        end=end,
-        lcontext=to_valid_utf8(context[max(0, start - CONTEXT_LENGTH):start]),
-        rcontext=to_valid_utf8(context[end:min(len(context), end + CONTEXT_LENGTH)]),
-    )
+    lo, hi = max(0, start - CONTEXT_LENGTH), end + CONTEXT_LENGTH
+    text, lcontext, rcontext = context[start:end], context[lo:start], context[end:hi]
+    if not context[lo:hi].isascii():  # ASCII is valid UTF-8 as it stands
+        text, lcontext, rcontext = (to_valid_utf8(text), to_valid_utf8(lcontext),
+                                    to_valid_utf8(rcontext))
+    return Entity(label, text, start, end, lcontext, rcontext)

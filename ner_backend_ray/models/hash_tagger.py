@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from ..core.clean import clean_text_with_spans
+from ..core.clean import clean_batch, clean_text_with_spans
 from ..core.crf import CRF, aggregate_predictions, get_word_ids
 from ..core.entity import Entity, create_entity
 from .base import register_tagger
@@ -254,25 +254,58 @@ class HashEmbeddingTagger:
                                         sub_offsets, tag_idx)
 
     def predict_batch(self, texts: list[bytes]) -> list[list[Entity]]:
-        """Batched prediction: per-doc feature build (word-cached) + one batched
-        CRF decode — bit-identical to [predict(t) for t in texts]."""
-        feats = [self._doc_features(t) for t in texts]
-        idx = [i for i, f in enumerate(feats) if f[3] is not None]
-        # sort by sequence length and decode in like-length groups: the batch
-        # decode pads to the group max, so mixing a long doc into a batch of
-        # short ones would waste (Lmax - L) timesteps for every member
-        idx.sort(key=lambda i: feats[i][3].shape[0])
-        out: list[list[Entity]] = [[] for _ in texts]
-        group = 64
-        for g in range(0, len(idx), group):
-            ids = idx[g:g + group]
-            decoded = self.crf.viterbi_decode_batch([feats[i][3] for i in ids])
-            for i, tag_idx in zip(ids, decoded):
-                original_spans, cleaned_spans, sub_offsets, _ = feats[i]
-                out[i] = self._decode_to_entities(texts[i], original_spans,
-                                                  cleaned_spans, sub_offsets, tag_idx)
-        return out
+        """``[predict(t) for t in texts]``, computed batch-wide.
 
+        ``clean_batch`` cleans and tokenizes every doc at once. Each distinct
+        word of the batch gets its emission block once (``_word_info``), and
+        the blocks are gathered into one sub-token matrix. The CRF decodes
+        the docs in length-sorted groups of 64, so a long doc does not pad a
+        group of short ones. Each word takes the tag of its first non-O
+        sub-token: a sub-token's word id is the word it was cut from, which
+        is getWordIds's answer, since sub-tokens lie inside their word.
+        """
+        out: list[list[Entity]] = [[] for _ in texts]
+        words, starts, ends, doc_starts = clean_batch(texts)
+        if len(words) == 0:
+            return out
+        enc = words.dictionary_encode()
+        codes = enc.indices.to_numpy()
+        blocks = [self._word_info(w)[1] for w in enc.dictionary.to_pylist()]
+        n_sub = np.array([b.shape[0] for b in blocks], dtype=np.int64)
+        first_row = np.cumsum(n_sub) - n_sub
+        per_word = n_sub[codes]
+        sub_bounds = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(per_word, out=sub_bounds[1:])
+        word_of_sub = np.repeat(np.arange(len(codes)), per_word)
+        rows = np.arange(sub_bounds[-1]) + (first_row[codes] - sub_bounds[:-1])[word_of_sub]
+        em = np.concatenate(blocks)[rows]
+
+        word_bounds = np.searchsorted(starts, doc_starts)
+        doc_sub = sub_bounds[word_bounds]  # doc d's sub-tokens: doc_sub[d]:doc_sub[d + 1]
+        lens = np.diff(doc_sub)
+        order = np.argsort(lens, kind="stable")
+        order = order[lens[order] > 0].tolist()
+        tags = np.empty(len(em), dtype=np.int64)
+        group = 64
+        for g in range(0, len(order), group):
+            ids = order[g:g + group]
+            decoded = self.crf.viterbi_decode_batch(
+                [em[doc_sub[d]:doc_sub[d + 1]] for d in ids])
+            for d, seq in zip(ids, decoded):
+                tags[doc_sub[d]:doc_sub[d + 1]] = seq
+
+        hits = np.flatnonzero(tags != O_IDX)
+        hit_words = word_of_sub[hits]
+        first = np.ones(len(hits), dtype=bool)
+        first[1:] = hit_words[1:] != hit_words[:-1]
+        ent_words = hit_words[first]
+        ent_docs = np.searchsorted(word_bounds, ent_words, side="right") - 1
+        base = doc_starts[ent_docs]
+        for d, s, e, k in zip(ent_docs.tolist(), (starts[ent_words] - base).tolist(),
+                              (ends[ent_words] - base).tolist(),
+                              tags[hits[first]].tolist()):
+            out[d].append(create_entity(IDX2TAG[k], texts[d], s, e))
+        return out
 
     # ------------------------- finetune / save / load -------------------------
     # The reference's Model.FinetuneAndSave + artifact store contract

@@ -94,12 +94,11 @@ def run_oracle(fixture_dir: str, cfg: KGConfig | None = None) -> dict[str, pa.Ta
             n_docs += 1
             res = run_inference_on_doc(html, model, tags, custom, groups)
             total_tokens += res.token_count
-            mentions = []
+            surfaces = []
             for m in res.mentions:
                 text = _decode(m.text)
                 key, cand, score = aliases.link(text, m.label)
-                mentions.append({"start": m.start, "end": m.end, "label": m.label,
-                                 "text": text})
+                surfaces.append(text)
                 m_rows["url"].append(url); m_rows["start"].append(m.start)
                 m_rows["end"].append(m.end); m_rows["label"].append(m.label)
                 m_rows["text"].append(text)
@@ -116,7 +115,7 @@ def run_oracle(fixture_dir: str, cfg: KGConfig | None = None) -> dict[str, pa.Ta
             for g in res.groups:
                 g_rows["url"].append(url)
                 g_rows["group_name"].append(g)
-            for (s, p, o, sl, ol) in extract_triples_from_doc(html, mentions):
+            for (s, p, o, sl, ol) in extract_triples_from_doc(html, res.mentions, surfaces):
                 t_rows["url"].append(url); t_rows["subj"].append(s)
                 t_rows["pred"].append(p); t_rows["obj"].append(o)
                 t_rows["subj_label"].append(sl); t_rows["obj_label"].append(ol)

@@ -3,9 +3,12 @@
 The analog of the reference's per-task inference loop
 (internal/core/processor.go:174-406): the model is loaded ONCE per worker
 process in ``__init__`` (the reference downloads + loads per task,
-processor.go:408-436; a per-process kernel amortizes strictly better), then
-each Arrow batch of pages runs the per-document chain (core/inference.py) and
-emits one flat table in the union layout below: a doc row (url, token_count)
+processor.go:408-436; a per-process kernel amortizes strictly better). Each
+Arrow batch of pages is tagged by one ``predict_batch`` call, which cleans,
+featurizes and Viterbi-decodes the whole batch as arrays; then each doc runs
+the rest of the per-document chain (core/inference.py: validators, coalesce,
+group filters) and triple extraction. The rows are gathered column by column
+into one flat table in the union layout below: a doc row (url, token_count)
 plus the doc's mention, triple and group rows, told apart by ``kind``.
 Consumers take the rows of one kind with ``rows_of``.
 
@@ -61,13 +64,13 @@ KIND_COLUMNS = {
 }
 
 
-def union_of(kind: int, rows) -> pa.Table:
+def union_of(kind: int, rows: pa.Table | dict[str, list]) -> pa.Table:
     """``rows`` of one ``kind`` in the union layout. ``rows`` is a table of
-    (some of) that kind's columns, or a list of dicts of them; a column or
-    key that is absent is null."""
-    if not isinstance(rows, pa.Table):
-        rows = pa.Table.from_struct_array(pa.array(
-            rows, pa.struct([UNION_SCHEMA.field(c) for c in KIND_COLUMNS[kind]])))
+    (some of) that kind's columns, or a dict of column name to values; a
+    column that is absent is null."""
+    if isinstance(rows, dict):
+        rows = pa.table({c: pa.array(v, UNION_SCHEMA.field(c).type)
+                         for c, v in rows.items()})
     n = rows.num_rows
     cols = [pa.array(np.full(n, kind, np.int8))]
     for f in list(UNION_SCHEMA)[1:]:
@@ -76,10 +79,10 @@ def union_of(kind: int, rows) -> pa.Table:
     return pa.table(cols, schema=UNION_SCHEMA)
 
 
-def tagged_rows(docs: list[dict], mentions: list[dict], triples: list[dict],
-                groups: list[dict]) -> pa.Table:
-    """The row builder of ``TagDocs``: each kind's rows as dicts → one
-    union table."""
+def tagged_rows(docs: dict[str, list], mentions: dict[str, list],
+                triples: dict[str, list], groups: dict[str, list]) -> pa.Table:
+    """The row builder of ``TagDocs``: each kind's columns (name to
+    values) → one union table."""
     return pa.concat_tables([union_of(DOC, docs), union_of(MENTION, mentions),
                              union_of(TRIPLE, triples), union_of(GROUP, groups)])
 
@@ -129,48 +132,54 @@ class TagDocs:
 
         from .triples import extract_triples_from_doc
 
-        custom_names = set(self.custom)
-        out_docs: list[dict] = []
-        out_mentions: list[dict] = []
-        out_groups: list[dict] = []
-        out_triples: list[dict] = []
-        # batch-scoped memoized linker: normalization + dict lookup run once
-        # per distinct (surface, label) in the batch, repeats are dict hits
-        link = self.aliases.batch_linker() if self.aliases is not None else None
-        # one model call per batch when the model supports it (batched CRF
-        # decode amortizes small-array kernel overhead); bit-identical to the
-        # per-doc path (tests/test_core.py::test_predict_batch_equals_predict)
+        # one model call per batch when the model supports it; equal to the
+        # per-doc path (tests/test_property.py::test_batch_tagger_equals_per_doc)
         predict_batch = getattr(self.model, "predict_batch", None)
         batch_entities = predict_batch(texts) if predict_batch is not None else None
+        # the batch's rows, column by column
+        token_counts: list[int] = []
+        mentions: list = []                      # coalesced entities, doc by doc
+        m_url: list[str] = []
+        m_text: list[str] = []
+        found: list[tuple] = []                  # (subj, pred, obj, subj_label, obj_label)
+        t_url: list[str] = []
+        groups: dict[str, list] = {"url": [], "group_name": []}
         for di, (url, text) in enumerate(zip(urls, texts)):
             res = run_inference_on_doc(
                 text, self.model, self.tags, self.custom, self.groups,
                 precomputed_entities=None if batch_entities is None
                 else batch_entities[di])
-            out_docs.append({"url": url, "token_count": res.token_count})
-            mentions = [
-                {"url": url, "start": m.start, "end": m.end, "label": m.label,
-                 "text": _decode(m.text), "lcontext": _decode(m.lcontext),
-                 "rcontext": _decode(m.rcontext), "is_custom": m.label in custom_names}
-                for m in res.mentions
-            ]
-            if link is not None:
-                for m in mentions:
-                    key, cand, score = link(m["text"], m["label"])
-                    m["entity_key"] = key
-                    m["candidate_id"] = cand
-                    m["link_score"] = score
-            out_mentions.extend(mentions)
-            out_groups.extend({"url": url, "group_name": g} for g in res.groups)
+            token_counts.append(res.token_count)
+            surfaces = [_decode(m.text) for m in res.mentions]
+            mentions += res.mentions
+            m_url += [url] * len(surfaces)
+            m_text += surfaces
+            groups["url"] += [url] * len(res.groups)
+            groups["group_name"] += res.groups
             if self.emit_triples:
-                triples = [
-                    {"url": url, "subj": s, "pred": p, "obj": o,
-                     "subj_label": sl, "obj_label": ol}
-                    for (s, p, o, sl, ol) in extract_triples_from_doc(text, mentions)
-                ]
-                if link is not None:
-                    for t in triples:
-                        t["subj_key"] = link(t["subj"], t["subj_label"])[0]
-                        t["obj_key"] = link(t["obj"], t["obj_label"])[0]
-                out_triples.extend(triples)
-        return tagged_rows(out_docs, out_mentions, out_triples, out_groups)
+                doc_triples = extract_triples_from_doc(text, res.mentions, surfaces)
+                found += doc_triples
+                t_url += [url] * len(doc_triples)
+
+        custom_names = set(self.custom)
+        labels = [m.label for m in mentions]
+        mention_cols = {
+            "url": m_url, "start": [m.start for m in mentions],
+            "end": [m.end for m in mentions], "label": labels, "text": m_text,
+            "lcontext": [_decode(m.lcontext) for m in mentions],
+            "rcontext": [_decode(m.rcontext) for m in mentions],
+            "is_custom": [label in custom_names for label in labels]}
+        triple_cols = dict(zip(("subj", "pred", "obj", "subj_label", "obj_label"),
+                               map(list, zip(*found))), url=t_url)
+        if self.aliases is not None:
+            # batch-scoped memoized linker: normalization + dict lookup run
+            # once per distinct (surface, label) in the batch
+            link = self.aliases.batch_linker()
+            linked = [link(surface, label) for surface, label in zip(m_text, labels)]
+            mention_cols["entity_key"] = [key for key, _, _ in linked]
+            mention_cols["candidate_id"] = [cand for _, cand, _ in linked]
+            mention_cols["link_score"] = [score for _, _, score in linked]
+            triple_cols["subj_key"] = [link(s, sl)[0] for s, _, _, sl, _ in found]
+            triple_cols["obj_key"] = [link(o, ol)[0] for _, _, o, _, ol in found]
+        return tagged_rows({"url": urls, "token_count": token_counts}, mention_cols,
+                           triple_cols, groups)

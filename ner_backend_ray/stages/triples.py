@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..core.entity import Entity
+
 # (marker, predicate, subj_label, obj_label, allow_subj_backtrack)
 TripleRules: list[tuple[bytes, str, str, str, bool]] = [
     (b" works at ", "works_at", "NAME", "COMPANY", False),
@@ -27,9 +29,11 @@ TripleRules: list[tuple[bytes, str, str, str, bool]] = [
 _SENTENCE_TERMINATORS = (b".", b"!", b"?")
 
 
-def extract_triples_from_doc(text: bytes, mentions: list[dict]) -> list[tuple[str, str, str, str, str]]:
-    """``mentions``: dicts with start/end/label/text, sorted by start (coalesced).
-    Returns (subj, pred, obj, subj_label, obj_label) tuples."""
+def extract_triples_from_doc(text: bytes, mentions: list[Entity], surfaces: list[str]
+                             ) -> list[tuple[str, str, str, str, str]]:
+    """``mentions``: the doc's coalesced entities, sorted by start;
+    ``surfaces``: their texts as str. Returns (subj, pred, obj,
+    subj_label, obj_label) tuples."""
     out: list[tuple[str, str, str, str, str]] = []
     n = len(mentions)
     if n < 2:
@@ -37,7 +41,7 @@ def extract_triples_from_doc(text: bytes, mentions: list[dict]) -> list[tuple[st
     # sentence-boundary flags per inter-mention gap (mention *content* may contain
     # dots — emails, URLs, ISO dates — so only the gaps are inspected)
     gap_breaks = [
-        any(t in text[mentions[i]["end"]:mentions[i + 1]["start"]]
+        any(t in text[mentions[i].end:mentions[i + 1].start]
             for t in _SENTENCE_TERMINATORS)
         for i in range(n - 1)
     ]
@@ -45,26 +49,24 @@ def extract_triples_from_doc(text: bytes, mentions: list[dict]) -> list[tuple[st
         if gap_breaks[i]:
             continue
         left, right = mentions[i], mentions[i + 1]
-        inter_l = text[left["end"]:right["start"]].lower()
+        inter_l = text[left.end:right.start].lower()
         for marker, pred, subj_label, obj_label, backtrack in TripleRules:
-            if marker not in inter_l or right["label"] != obj_label:
+            if marker not in inter_l or right.label != obj_label:
                 continue
-            if left["label"] == subj_label:
-                subj = left
+            if left.label == subj_label:
+                subj = i
             elif backtrack:
                 subj = None
                 for k in range(i - 1, -1, -1):
                     if gap_breaks[k]:  # stay within the sentence
                         break
-                    if mentions[k]["label"] == subj_label:
-                        subj = mentions[k]
+                    if mentions[k].label == subj_label:
+                        subj = k
                         break
                 if subj is None:
                     continue
             else:
                 continue
-            out.append((subj["text"], pred, right["text"], subj_label, obj_label))
+            out.append((surfaces[subj], pred, surfaces[i + 1], subj_label, obj_label))
             break
     return out
-
-

@@ -156,6 +156,19 @@ def test_clean_bytes_offsets_multibyte():
     assert text[s:e] == "Grüße".encode("utf-8")
 
 
+def test_clean_whitespace_is_go_class():
+    """Whitespace is Go RE2's \\s, [\\t\\n\\f\\r ]: \\x0b, which Python's bytes
+    \\s holds, is a token byte, in both the per-doc and the batch cleaner."""
+    from ner_backend_ray.core.clean import clean_batch
+    for ws in b"\t\n\x0c\r ":
+        assert clean_text_with_spans(b"a" + bytes([ws]) + b"b")[1] == [(0, 1), (2, 3)]
+    assert clean_text_with_spans(b"a\x0bb") == (b" a\x0bb", [(0, 3)], [(1, 4)])
+    # punctuation next to \x0b is not next to whitespace
+    assert clean_text_with_spans(b"a,\x0bb. c")[0] == b" a,\x0bb c"
+    tokens, starts, ends, _ = clean_batch([b"a\x0bb", b"a\tb", b"a,\x0bb. c"])
+    assert tokens.to_pylist() == [b"a\x0bb", b"a", b"b", b"a,\x0bb", b"c"]
+
+
 # ---------------- coalesce (processor.go:519-554) ----------------
 
 def _ent(label, text, start, end, rctx=b""):

@@ -7,6 +7,7 @@ splits are byte-exact, coalescing preserves order, redaction is span-safe.
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ ASCII_TEXTS = st.text(
 @given(TEXTS)
 @settings(max_examples=200, deadline=None)
 def test_clean_spans_invariants(s):
-    from ner_backend_ray.core.clean import clean_text_with_spans
+    from ner_backend_ray.core.clean import WHITESPACE, clean_text_with_spans
     b = s.encode("utf-8")
     cleaned, original_spans, cleaned_spans = clean_text_with_spans(b)
     assert len(original_spans) == len(cleaned_spans)
@@ -29,8 +30,8 @@ def test_clean_spans_invariants(s):
         assert 0 <= cs < ce <= len(cleaned)
         assert os_ >= prev_end
         prev_end = oe
-        # cleaned tokens never contain whitespace
-        assert not re.search(rb"\s", cleaned[cs:ce])
+        # cleaned tokens never contain whitespace (Go RE2's class)
+        assert not set(cleaned[cs:ce]) & set(WHITESPACE)
 
 
 @given(ASCII_TEXTS, st.integers(min_value=1, max_value=7))
@@ -49,6 +50,59 @@ def test_split_text_partitions_tokens(s, length):
     assert offsets == sorted(offsets)
     for off, sent in zip(offsets, sentences):
         assert b[off:off + len(sent)] == sent   # offsets are byte-exact
+
+
+# pieces of tagger docs: vocabulary surfaces the model tags, O words, every
+# whitespace byte (\x0b is not whitespace in Go), punctuation the cleaner
+# replaces, and bytes that are not valid UTF-8
+_DOC_PIECES = st.sampled_from([
+    b"Leo Morgan", b"Sonia", b"Acme Corp", b"Boston", b"works at", b"female",
+    b"leo.morgan0@example.net", b"201-100-1000", b"100-10-1000", b"1960-01-01",
+    b"4000 0000 0000 0002", b"credit score", b"300", b"the",
+    "Grüße".encode("utf-8"), b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r",
+    b"-", b",", b".", b"(", b")", b"'", b"\"", b":", b"\xff", b"\xc3", b"\xe2\x82"])
+_DOCS = st.one_of(
+    st.lists(_DOC_PIECES, max_size=12).map(b"".join),
+    st.sampled_from([b"", b" \t\n\x0c\r ", b"\x0b", b"-Leo Morgan,", b"(300)", b"\xff."]))
+
+
+@st.composite
+def tagger_batches(draw):
+    """Short docs (empty, whitespace-only and punctuation-edged ones among
+    them), sometimes more than one decode group of 64, with one long doc in
+    the batch half the time."""
+    docs = draw(st.lists(_DOCS, max_size=8) | st.lists(_DOCS, min_size=65, max_size=80))
+    if draw(st.booleans()):
+        long_doc = b" ".join(draw(st.lists(_DOCS, min_size=40, max_size=80)))
+        docs.insert(draw(st.integers(0, len(docs))), long_doc)
+    return docs
+
+
+@pytest.fixture(scope="module")
+def tagger():
+    from ner_backend_ray.models import load_tagger
+    return load_tagger("hash_embedding")
+
+
+@given(tagger_batches())
+@settings(max_examples=150, deadline=None)
+def test_batch_tagger_equals_per_doc(tagger, texts):
+    assert tagger.predict_batch(texts) == [tagger.predict(t) for t in texts]
+
+
+@given(tagger_batches())
+@settings(max_examples=300, deadline=None)
+def test_clean_batch_equals_per_doc(texts):
+    from ner_backend_ray.core.clean import clean_batch, clean_text_with_spans
+    tokens, starts, ends, doc_starts = clean_batch(texts)
+    tokens = tokens.to_pylist()
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    for d, text in enumerate(texts):
+        lo, hi = doc_starts[d], doc_starts[d + 1]
+        mine = [i for i, (s, _) in enumerate(bounds) if lo <= s < hi]
+        cleaned, original_spans, _ = clean_text_with_spans(text)
+        assert [(bounds[i][0] - lo, bounds[i][1] - lo) for i in mine] == original_spans
+        assert b"".join(b" " + tokens[i] for i in mine) == cleaned
 
 
 _LABELS = ("NAME", "COMPANY", "LOCATION", "EMAIL")
