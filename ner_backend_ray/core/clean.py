@@ -28,6 +28,12 @@ import numpy as np
 import pyarrow as pa
 
 WHITESPACE = b"\t\n\f\r "  # Go RE2 \s
+# Go's unicode.IsSpace, the separators of strings.Fields (the reference's
+# token count, core/inference.py::count_tokens). Python's str.split() also
+# splits on U+001C-U+001F, which Go does not.
+UNICODE_WHITESPACE = ("\t\n\v\f\r \x85\xa0\u1680"
+                      + "".join(map(chr, range(0x2000, 0x200B)))
+                      + "\u2028\u2029\u202f\u205f\u3000")
 _PUNCT = b"-,.!?:_\"'`)]}([{"  # preprocess.go:10
 
 _S = b"[" + re.escape(WHITESPACE) + b"]"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .clean import UNICODE_WHITESPACE
 from .coalesce import EXCLUDED_TAGS, coalesce_entities
 from .dsl import Filter
 from .entity import Entity, to_valid_utf8
@@ -32,10 +33,19 @@ class DocResult:
     token_count: int = 0
 
 
+_GO_FIELD = re.compile("[^" + re.escape(UNICODE_WHITESPACE) + "]+")
+_PY_ONLY_SPACE = re.compile("[\x1c-\x1f]")
+
+
 def count_tokens(text: bytes) -> int:
-    """Go strings.Fields semantics (unicode whitespace); invalid bytes decode to
-    U+FFFD which is not whitespace, matching Go's rune-error behavior."""
-    return len(text.decode("utf-8", "replace").split())
+    """Go strings.Fields semantics: fields between runs of Go's unicode
+    whitespace (``clean.UNICODE_WHITESPACE``); invalid bytes decode to U+FFFD,
+    which is not whitespace, matching Go's rune-error behavior. ``str.split``
+    agrees with Go on a text holding none of U+001C-U+001F."""
+    s = text.decode("utf-8", "replace")
+    if _PY_ONLY_SPACE.search(s) is None:
+        return len(s.split())
+    return len(_GO_FIELD.findall(s))
 
 
 def run_inference_on_doc(

@@ -90,39 +90,36 @@ def samples_dataset(samples: list[Sample], shards: int) -> ray.data.Dataset:
     return ray.data.from_arrow(tbl)
 
 
-def _shard_pass(model_ref, lr: float):
-    """One local perceptron pass over one shard, starting from the broadcast
-    mixed weights. Returns (bucket, delta, errors) rows — the only thing that
-    leaves the shard."""
-    import ray as _ray
-
-    def run(group: pa.Table) -> pa.Table:
-        import copy
-        # plasma-deserialized numpy arrays are read-only and the object may be
-        # shared by other tasks in this worker — train on a private copy
-        base: HashEmbeddingTagger = copy.deepcopy(_ray.get(model_ref))
-        # order by sample index: deterministic within the shard
-        group = group.sort_by("idx")
-        samples = list(zip(group["tokens"].to_pylist(),
-                           group["labels"].to_pylist()))
-        before = {b: v.copy() for b, v in base._learned.items()}
-        errors = base.finetune_perceptron(samples, epochs=1, lr=lr)
-        # sentinel row (bucket −1) carries the shard's error count; real rows
-        # carry only buckets whose weights actually moved
-        buckets, deltas = [-1], [np.zeros(NUM_TAGS, np.float32).tolist()]
-        for b, v in base._learned.items():
-            d = v - before.get(b, np.zeros(NUM_TAGS, np.float32))
-            if np.any(d):
-                buckets.append(b)
-                deltas.append(d.tolist())
-        shard = int(group["shard"][0].as_py()) if group.num_rows else -1
-        return pa.table({
-            "bucket": pa.array(buckets, pa.int64()),
-            "shard": pa.array([shard] * len(buckets), pa.int32()),
-            "delta": pa.array(deltas, pa.list_(pa.float32())),
-            "errors": pa.array([errors] + [0] * (len(buckets) - 1), pa.int64()),
-        })
-    return run
+def _shard_pass(group: pa.Table, model: HashEmbeddingTagger, lr: float) -> pa.Table:
+    """One local perceptron pass over one shard, starting from the mixed
+    weights of ``model``, which arrives as a task argument (``fn_args``), so
+    the task waits on no object itself. Returns (bucket, delta, errors) rows
+    — the only thing that leaves the shard."""
+    import copy
+    # plasma-deserialized numpy arrays are read-only and the object may be
+    # shared by other tasks in this worker — train on a private copy
+    base = copy.deepcopy(model)
+    # order by sample index: deterministic within the shard
+    group = group.sort_by("idx")
+    samples = list(zip(group["tokens"].to_pylist(),
+                       group["labels"].to_pylist()))
+    before = {b: v.copy() for b, v in base._learned.items()}
+    errors = base.finetune_perceptron(samples, epochs=1, lr=lr)
+    # sentinel row (bucket −1) carries the shard's error count; real rows
+    # carry only buckets whose weights actually moved
+    buckets, deltas = [-1], [np.zeros(NUM_TAGS, np.float32).tolist()]
+    for b, v in base._learned.items():
+        d = v - before.get(b, np.zeros(NUM_TAGS, np.float32))
+        if np.any(d):
+            buckets.append(b)
+            deltas.append(d.tolist())
+    shard = int(group["shard"][0].as_py()) if group.num_rows else -1
+    return pa.table({
+        "bucket": pa.array(buckets, pa.int64()),
+        "shard": pa.array([shard] * len(buckets), pa.int32()),
+        "delta": pa.array(deltas, pa.list_(pa.float32())),
+        "errors": pa.array([errors] + [0] * (len(buckets) - 1), pa.int64()),
+    })
 
 
 def finetune_perceptron_ipm(model: HashEmbeddingTagger,
@@ -130,7 +127,9 @@ def finetune_perceptron_ipm(model: HashEmbeddingTagger,
                             epochs: int = 8,
                             lr: float = 2.0) -> tuple[HashEmbeddingTagger, int]:
     """Iterative parameter mixing (McDonald et al. 2010): per epoch, broadcast
-    the current model once (``ray.put``), run one perceptron pass per shard in
+    the current model once (an ``fn_args`` of the map, which Ray Data puts in
+    the object store once per operator and hands each task as an argument),
+    run one perceptron pass per shard in
     parallel (groupby(shard).map_groups — each shard's samples stay on their
     node after the first shuffle), then average the per-shard weight deltas
     into the model. Stops early when an epoch ends with zero errors on every
@@ -139,16 +138,13 @@ def finetune_perceptron_ipm(model: HashEmbeddingTagger,
     Scale shape: the broadcast is one object per epoch (not per batch); the
     reduce is (bucket, Δvec) rows — proportional to *mispredicted* vocabulary,
     not corpus size; sample text never returns to the driver."""
-    import ray as _ray
-
     n_shards = len(samples_ds.unique("shard"))
     cur = model
     errors = 0
     for _ in range(epochs):
-        model_ref = _ray.put(cur)
         rows = (samples_ds
                 .groupby("shard")
-                .map_groups(_shard_pass(model_ref, lr), batch_format="pyarrow")
+                .map_groups(_shard_pass, fn_args=(cur, lr), batch_format="pyarrow")
                 .take_all())
         errors = sum(r["errors"] for r in rows)
         # uniform mixing: mean of per-shard deltas per bucket (buckets a shard

@@ -20,7 +20,11 @@ on boot, no partial-task resume). Ours is file-system-native:
   ``{out}/_lineage/part-{pid}.json`` with input fingerprint + row counters.
   A partition's outputs are a pure function of its input file and every
   write is atomic, so a retried task (its worker died) and a resumed run
-  are both byte-identical.
+  are both byte-identical. The task list runs under
+  ``kg.phase1_block_target()``, like the streaming tag Dataset, so a small
+  object store still starts a task per CPU at once; its output is one pid
+  per file, and phase 2 reads ``parts`` in a Dataset of its own, under
+  the session's target.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten,
   and every file of a partition past the input files (an earlier run over
@@ -52,7 +56,8 @@ import ray.data
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
 from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, rows_of
-from .kg import combined_partials, kg_tables, tag_batches, tag_kernel
+from .kg import (combined_partials, kg_tables, tag_batches, tag_kernel,
+                 with_phase1_target)
 
 
 def _fingerprint(path: str) -> dict:
@@ -156,9 +161,10 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
                                  cfg.batch_size)
             return {"pid": batch["pid"]}
 
-        (ray.data.from_items(tasks, override_num_blocks=len(tasks))
-            .map_batches(tag_files, batch_size=1, concurrency=concurrency)
-            .materialize())
+        files_ds = with_phase1_target(
+            ray.data.from_items(tasks, override_num_blocks=len(tasks)))
+        files_ds.map_batches(tag_files, batch_size=1,
+                             concurrency=concurrency).materialize()
 
     done = completed_partitions(out_dir)
     return {"partitions_total": len(files), "partitions_run": len(tasks),

@@ -57,6 +57,20 @@ function, so a canonical_id range partition holds whole entity-key runs and
 needs no per-key pre-aggregation (eager/lazy aggregation, Yan & Larson,
 VLDB 1995). Roots reach the one node kernel and the one edge kernel either
 as the broadcast dict or as star-join columns.
+
+Block targets. Phase 1's
+Datasets (``tag_pages``, the checkpointed task list) run under
+``phase1_block_target()``, at most object store / (8 × CPUs), because
+Ray Data admits a task only while the pending output it expects, two
+blocks of the target before any task has finished, fits the operator's
+share of the store: under the session's 128 MiB a 512 MiB store ran one
+tag task at a time until the first one ended. A Dataset's context is
+shared by every Dataset built from it, so the graph inherits that
+target; its one-task stages keep their output one block only while no
+block exceeds it. Every graph block is at most the partials' bytes, so
+the graph keeps the tag output's context while the partials fit its
+target, and is rooted on the tag output's blocks under the session's
+context when they do not (``_partials``).
 """
 
 from __future__ import annotations
@@ -87,11 +101,13 @@ _CC_BUDGET = 500_000
 KG_TABLES = ("mentions", "groups", "triples", "nodes", "edges", "key_map")
 
 
+def _cluster_resources() -> dict:
+    """The session's total resources; empty before Ray has started."""
+    return ray.cluster_resources() if ray.is_initialized() else {}
+
+
 def _cluster_cpus() -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        return 4
+    return int(_cluster_resources().get("CPU", 4))
 
 
 def _compact_small() -> int:
@@ -104,18 +120,51 @@ def _compact_small() -> int:
 
 def _graph_budget() -> int:
     """Partials bytes up to which the graph phase runs each stage as one
-    task: Ray Data's target block size (128 MiB by default). A one-task
-    stage emits one block, and its output is smaller than its partials (a
-    node partial row with its canonical_id is smaller than its partials
-    row); above 1.5 times the target, Ray Data would slice that block and
-    split canonical_id runs across blocks. A session with no target (None)
-    gets the distributed plan. Below the cap, one task beat the distributed
-    plan at every size measured: over 2 to 123 MB of synthetic partials
-    (``tests/test_pipeline_ray.py::planted_partials``), it took 0.44 to
-    3.7 s against 1.5 to 14.6 s, with a peak worker RSS of 422 MB at 123 MB
-    against 460 MB (a 4-CPU session on a host with one usable core, so the
-    distributed plan's parallelism went unmeasured)."""
+    task: the session's Ray Data target block size (128 MiB by default),
+    the largest target a graph Dataset runs under (``_partials``). A
+    one-task stage emits one block, and its output is smaller than its
+    partials (a node partial row with its canonical_id is smaller than its
+    partials row); above 1.5 times the target, Ray Data would slice that
+    block and split canonical_id runs across blocks. A session with no
+    target (None) gets the distributed plan. Below the cap, one task beat
+    the distributed plan at every size measured: over 2 to 123 MB of
+    synthetic partials (``tests/test_pipeline_ray.py::planted_partials``),
+    it took 0.44 to 3.7 s against 1.5 to 14.6 s, with a peak worker RSS of
+    422 MB at 123 MB against 460 MB (a 4-CPU session on a 4-core host)."""
     return ray.data.DataContext.get_current().target_max_block_size or 0
+
+
+def phase1_block_target() -> int:
+    """The target block size of a phase-1 Dataset (``tag_pages``, the task
+    list of ``checkpointed.run_phase1``): ``min(session target, object
+    store / (8 × CPUs))``, read from the session. Before any task of an
+    operator has finished, Ray Data (2.49) counts each running task's
+    pending output as two blocks of the target, 256 MiB at the default
+    128 MiB, and gives an operator about a quarter of the object store
+    (half the store for the executor, half of that reserved per operator):
+    on a 512 MiB store only one such task fits, so a 4-CPU session ran
+    the first of its eight ``TagDocs`` tasks alone for 0.28 s. Two blocks
+    per task and a quarter of the store give the 8: every CPU's task
+    fits. With Ray's default store (30% of memory) this is the session's
+    own target. A session with no target (None) counts as unlimited; the
+    result is not None then, since a read without a target splits into 200
+    blocks. Before Ray has started, it is the session's target."""
+    session = ray.data.DataContext.get_current().target_max_block_size
+    res = _cluster_resources()
+    store, cpus = res.get("object_store_memory", 0), res.get("CPU", 0)
+    if not (store and cpus):
+        return session
+    return min(session or store, int(store // (8 * cpus)))
+
+
+def with_phase1_target(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds`` with ``phase1_block_target()`` on its context. That context is
+    the one object every Dataset derived from ``ds`` shares (a new Dataset
+    copies the plan, not its context, and ``materialize`` copies its
+    values), so the graph Datasets built on the tag output inherit the
+    target; ``_partials`` decides whether they may."""
+    ds.context.target_max_block_size = phase1_block_target()
+    return ds
 
 
 def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
@@ -189,7 +238,13 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     (fused: 2.2–2.5). This is inference fused with the scan that feeds it
     and with the combiners that consume it (ICDE 2025, "Machine Learning
     Inference Pipeline Execution Using Pure SQL Based on Operator
-    Fusion")."""
+    Fusion").
+
+    The returned Dataset runs under ``phase1_block_target()``, set on the
+    context it shares with ``pages``, so that Ray Data starts a tag task
+    per CPU at once on a small object store; on a default store that is
+    the session's target and changes nothing. The graph built on it
+    (``kg_tables``) inherits that target, see ``_partials``."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
     # the tagger works on raw bytes (html); drop everything else before the
@@ -203,8 +258,8 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
                             for i in range(0, block.num_rows, step)), kernel)
 
     tag_block.__name__ = kernel.__name__
-    return ds.map_batches(tag_block, batch_size=None, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return with_phase1_target(ds.map_batches(
+        tag_block, batch_size=None, batch_format="pyarrow", zero_copy_batch=True))
 
 
 def _cid_from_cols(keys, roots=None, root_map: dict | None = None) -> pa.Array:
@@ -539,8 +594,23 @@ def _partials(tagged: ray.data.Dataset) -> tuple[ray.data.Dataset, bool]:
     and the graph plan they choose, decided once here: ``one_task`` when
     their bytes (block metadata, so no data is read) are within
     ``_graph_budget()``; else the distributed plan, for whose groupby and
-    sorts they are compacted to ``_compact_small()`` blocks."""
+    sorts they are compacted to ``_compact_small()`` blocks.
+
+    Every graph Dataset shares the context of ``parts``, and every graph
+    block is at most the partials' bytes (``_graph_budget``), so none can
+    be sliced while the partials fit that context's target. A tag output
+    under a smaller target than the session's (``phase1_block_target``)
+    whose partials exceed it is rooted on its blocks under the session's
+    context (``from_arrow_refs``) and its partials are taken again. Only
+    then: that root costs a task per block before the graph can start, and
+    under the session's target the partials map starts one task alone
+    (together 0.05 to 0.1 s of a 0.5 s graph phase at 2,000 pages on a
+    512 MiB store)."""
     parts = tagged.map_batches(combined_partials, batch_format="pyarrow").materialize()
+    own = parts.context.target_max_block_size
+    if (own != ray.data.DataContext.get_current().target_max_block_size
+            and parts.size_bytes() > (own or 0)):
+        return _partials(ray.data.from_arrow_refs(tagged.to_arrow_refs()))
     if parts.size_bytes() <= _graph_budget():
         return parts, True
     return parts.repartition(_compact_small()).materialize(), False
@@ -598,6 +668,12 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
     partials are vectorized Arrow kernels. The tag stage itself is not
     overlapped with these: it saturates the CPUs and concurrent executions
     only contend (measured).
+
+    The graph Datasets inherit the target block size of ``tagged``'s
+    context (``tag_pages`` sets ``phase1_block_target()``), and no graph
+    block may exceed it: ``_partials`` keeps that context while the
+    partials fit its target, and roots the graph on the tag output's
+    blocks under the session's context when they do not.
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""

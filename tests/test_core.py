@@ -169,6 +169,25 @@ def test_clean_whitespace_is_go_class():
     assert tokens.to_pylist() == [b"a\x0bb", b"a", b"b", b"a,\x0bb", b"c"]
 
 
+def test_count_tokens_splits_on_go_space():
+    """The token count is Go's strings.Fields: Python's unicode whitespace
+    minus U+001C-U+001F (not ``unicode.IsSpace`` in Go), so ``a\\x1cb`` is
+    one token; the other unicode spaces, \\x0b included, split."""
+    import sys
+
+    from ner_backend_ray.core.clean import UNICODE_WHITESPACE
+    from ner_backend_ray.core.inference import count_tokens
+    python = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(UNICODE_WHITESPACE) == python - set("\x1c\x1d\x1e\x1f")
+    for sep in "\x1c\x1d\x1e\x1f":
+        assert count_tokens(f"a{sep}b".encode()) == 1
+        assert count_tokens(f"a{sep}b c\x85d".encode()) == 3
+    for ws in UNICODE_WHITESPACE:
+        assert count_tokens(f" a{ws}{ws}b ".encode()) == 2
+    # invalid UTF-8 is a token byte, as Go's rune error is not a space
+    assert count_tokens(b"\xff \x1f\xe3\x80\x80\xc2") == 3
+
+
 # ---------------- coalesce (processor.go:519-554) ----------------
 
 def _ent(label, text, start, end, rctx=b""):

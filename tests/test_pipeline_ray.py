@@ -500,6 +500,108 @@ def test_both_runners_finish_on_few_cpus(tiny_fixture, num_cpus):
                                     "regex_mention_runs")}, ok
 
 
+_STORE_SESSION_RUN = """
+import glob, hashlib, json, os, sys
+import pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
+fx, out, store = sys.argv[1], sys.argv[2], int(sys.argv[3])
+ray.init(num_cpus=4, object_store_memory=store or None, include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ner_backend_ray.oracle import KGConfig
+from ner_backend_ray.pipelines import kg
+from ner_backend_ray.pipelines.checkpointed import run_kg_checkpointed
+
+def digest(t):
+    keys = [(f.name, "ascending") for f in t.schema if not pa.types.is_list(f.type)]
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t.sort_by(keys).combine_chunks())
+    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
+
+def tree(root):
+    \"\"\"(pid, start time) of every process below ``root``, from /proc.\"\"\"
+    kids = {}
+    for d in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            fields = open(f"/proc/{d}/stat").read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        kids.setdefault(int(fields[1]), []).append((int(d), fields[19]))
+    found, todo = [], [root]
+    while todo:
+        for pid, start in kids.get(todo.pop(), []):
+            found.append((pid, start))
+            todo.append(pid)
+    return found
+
+cfg = KGConfig()
+docs = kg.tag_pages(kg.read_pages(fx), cfg, fx).materialize()
+report = {"store": ray.cluster_resources()["object_store_memory"],
+          "tag_bytes": docs.size_bytes(), "target": kg.phase1_block_target(),
+          "largest_block": max(m.size_bytes for b in docs.iter_internal_ref_bundles()
+                               for m in b.metadata)}
+report["stream"] = {name: digest(pa.concat_tables(ray.get(ds.to_arrow_refs())))
+                    for name, ds in kg.kg_tables(docs, cfg, fx).items()}
+del docs
+run_kg_checkpointed(fx, out, cfg)
+report["ckpt"] = {os.path.relpath(p, out): hashlib.sha256(open(p, "rb").read()).hexdigest()
+                  for p in glob.glob(os.path.join(out, "*", "part-*.parquet"))}
+report["ckpt"].update({f"graph/{n}": digest(pq.read_table(os.path.join(out, "graph", n)))
+                       for n in ("nodes", "edges")})
+report["procs"] = tree(os.getpid())
+ray.shutdown()
+print(json.dumps(report))
+"""
+
+
+def _alive(pid: int, start: str) -> bool:
+    """Process ``pid`` still runs and is the one that started at ``start``."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return False
+    return fields[19] == start and fields[0] != "Z"
+
+
+def test_tag_output_bigger_than_object_store(tmp_path):
+    """Both runners over 10,000 pages in a session whose object store (75
+    MiB, Ray's minimum) is smaller than their tag output: the derived
+    phase-1 target is then below a tag block's size, so Ray slices the tag
+    blocks, and the store spills. Every output (the six streaming tables,
+    every checkpointed part file and graph table) equals a default-store
+    session's, and neither session leaves a process behind."""
+    import json
+    import subprocess
+    import sys
+    import time
+
+    from ner_backend_ray.fixtures.pages import generate_pages
+
+    fx = generate_pages(0.01)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    reports = {}
+    for name, store in (("small", 75 * 2**20), ("default", 0)):
+        proc = subprocess.run([sys.executable, "-c", _STORE_SESSION_RUN, fx,
+                               str(tmp_path / name), str(store)],
+                              cwd=root, env={**os.environ, "PYTHONPATH": root},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        reports[name] = json.loads(proc.stdout.strip().splitlines()[-1])
+    small, default = reports["small"], reports["default"]
+    assert small["store"] == 75 * 2**20 < small["tag_bytes"], small
+    assert small["target"] < small["largest_block"], small
+    assert len(small["ckpt"]) == 5 * 8 + 2
+    assert small["stream"] == default["stream"]
+    assert small["ckpt"] == default["ckpt"]
+    deadline = time.monotonic() + 30
+    left = [p for r in reports.values() for p in r["procs"]]
+    while left and time.monotonic() < deadline:
+        time.sleep(0.5)
+        left = [p for p in left if _alive(*p)]
+    assert not left, left
+
+
 def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
     """Two tag_pages runs in one session over the same fixture path, with
     alias_dict.parquet rewritten between them so that one surface links to
@@ -681,6 +783,91 @@ def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
     default = _sorted(_collect(_fused_docs(pages_2k, KGConfig())))
     assert rows_of(small, DOC).num_rows == 2000
     assert small.equals(default)
+
+
+def test_phase1_block_target_fits_the_object_store(ray_session, tiny_fixture,
+                                                   monkeypatch):
+    """The phase-1 target is min(session target, object store / (8 ×
+    CPUs)): 16 MiB for a 512 MiB store and 4 CPUs, the session's own target
+    for Ray's default store (30% of 16 GB here). ``tag_pages`` puts it on
+    its own Dataset's context and leaves the session's alone."""
+    import ray.data
+
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines import kg
+
+    session = ray.data.DataContext.get_current().target_max_block_size
+    monkeypatch.setattr(kg, "_cluster_resources", lambda: {
+        "CPU": 4.0, "object_store_memory": 0.3 * 16e9})
+    assert kg.phase1_block_target() == session
+    monkeypatch.setattr(kg, "_cluster_resources", lambda: {
+        "CPU": 4.0, "object_store_memory": 512.0 * 2**20})
+    assert kg.phase1_block_target() == 16 * 2**20
+    ds = kg.tag_pages(kg.read_pages(tiny_fixture), KGConfig(), tiny_fixture)
+    assert ds.context.target_max_block_size == 16 * 2**20
+    assert ray.data.DataContext.get_current().target_max_block_size == session
+
+
+@pytest.fixture(scope="module")
+def oracle_2k(pages_2k):
+    from ner_backend_ray.oracle import run_oracle
+    return run_oracle(pages_2k)
+
+
+@pytest.mark.parametrize("target,graph_on", [(2**20, "session"),
+                                             (4 * 2**20, "tag output")])
+def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
+                                                    oracle_2k, monkeypatch,
+                                                    target, graph_on):
+    """With the phase-1 target forced to 1 or 4 MiB, read and tag still run
+    as one operator with one task per pages file (at 1 MiB Ray slices
+    their outputs into more blocks). The graph keeps the tag output's
+    context while the 2 MB of partials fit its target (4 MiB), and runs
+    under the session's when they exceed 1.5 × it (1 MiB); either way,
+    under the one-task plan, nodes is one block, and nodes, edges and
+    key_map are byte-identical to the distributed plan's and equal the
+    oracle."""
+    import re
+
+    import ray.data
+
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines import kg
+
+    monkeypatch.setattr(kg, "phase1_block_target", lambda: target)
+    session = ray.data.DataContext.get_current().target_max_block_size
+    cfg = KGConfig()
+    docs = kg.tag_pages(kg.read_pages(pages_2k), cfg, pages_2k).materialize()
+    n_files = len(glob.glob(os.path.join(pages_2k, "pages", "part-*.parquet")))
+    ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", docs.stats(), re.M)
+    assert ops == [("ReadParquet->MapBatches(extract_text_batch)->Project->"
+                    "MapBatches(TagDocs)", str(n_files))], ops
+    assert (docs.num_blocks() > n_files) == (target == 2**20)
+    parts_bytes = kg.combined_partials(_collect(docs)).nbytes
+    assert target < parts_bytes / 1.5 if graph_on == "session" else parts_bytes < target
+
+    got = {}
+    for plan in ("distributed", "one_task"):
+        _force_plan(monkeypatch, plan)
+        tables = kg.kg_tables(docs, cfg, pages_2k,
+                              tables=("nodes", "edges", "key_map"))
+        assert {ds.context.target_max_block_size for ds in tables.values()} == {
+            session if graph_on == "session" else target}, plan
+        got[plan] = {name: _collect(ds) for name, ds in tables.items()}
+    assert tables["nodes"].num_blocks() == 1
+    assert ({name: _ipc(t) for name, t in got["one_task"].items()}
+            == {name: _ipc(t) for name, t in got["distributed"].items()})
+
+    want = oracle_2k
+    nodes = got["one_task"]["nodes"]
+    assert nodes.equals(want["nodes"])
+    ecols = ["subj_id", "pred", "obj_id", "weight"]
+    assert got["one_task"]["edges"].select(ecols).equals(want["edges"].select(ecols))
+    key_map = got["one_task"]["key_map"]
+    assert set(key_map["entity_key"].to_pylist()) == set(
+        want["mentions"]["entity_key"].to_pylist())
+    assert set(key_map["canonical_id"].to_pylist()) == set(
+        nodes["canonical_id"].to_pylist())
 
 
 def _emptied_fixture(tiny_fixture: str, tmp_path, emptied: str) -> str:
