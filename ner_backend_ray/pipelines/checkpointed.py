@@ -21,10 +21,8 @@ on boot, no partial-task resume). Ours is file-system-native:
   A partition's outputs are a pure function of its input file and every
   write is atomic, so a retried task (its worker died) and a resumed run
   are both byte-identical. The task list runs under
-  ``kg.phase1_block_target()``, like the streaming tag Dataset, so a small
-  object store still starts a task per CPU at once; its output is one pid
-  per file, and phase 2 reads ``parts`` in a Dataset of its own, under
-  the session's target.
+  ``kg.phase1_block_target()``; phase 2 reads ``parts`` in a Dataset of
+  its own, under the session's target.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten,
   and every file of a partition past the input files (an earlier run over

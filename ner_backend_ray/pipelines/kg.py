@@ -58,19 +58,8 @@ needs no per-key pre-aggregation (eager/lazy aggregation, Yan & Larson,
 VLDB 1995). Roots reach the one node kernel and the one edge kernel either
 as the broadcast dict or as star-join columns.
 
-Block targets. Phase 1's
-Datasets (``tag_pages``, the checkpointed task list) run under
-``phase1_block_target()``, at most object store / (8 × CPUs), because
-Ray Data admits a task only while the pending output it expects, two
-blocks of the target before any task has finished, fits the operator's
-share of the store: under the session's 128 MiB a 512 MiB store ran one
-tag task at a time until the first one ended. A Dataset's context is
-shared by every Dataset built from it, so the graph inherits that
-target; its one-task stages keep their output one block only while no
-block exceeds it. Every graph block is at most the partials' bytes, so
-the graph keeps the tag output's context while the partials fit its
-target, and is rooted on the tag output's blocks under the session's
-context when they do not (``_partials``).
+Phase 1's Datasets run under a block target of their own, and the graph
+under the session's: see ``phase1_block_target`` and ``_partials``.
 """
 
 from __future__ import annotations
@@ -121,7 +110,7 @@ def _compact_small() -> int:
 def _graph_budget() -> int:
     """Partials bytes up to which the graph phase runs each stage as one
     task: the session's Ray Data target block size (128 MiB by default),
-    the largest target a graph Dataset runs under (``_partials``). A
+    the target every graph Dataset runs under (``_partials``). A
     one-task stage emits one block, and its output is smaller than its
     partials (a node partial row with its canonical_id is smaller than its
     partials row); above 1.5 times the target, Ray Data would slice that
@@ -145,10 +134,17 @@ def phase1_block_target() -> int:
     on a 512 MiB store only one such task fits, so a 4-CPU session ran
     the first of its eight ``TagDocs`` tasks alone for 0.28 s. Two blocks
     per task and a quarter of the store give the 8: every CPU's task
-    fits. With Ray's default store (30% of memory) this is the session's
-    own target. A session with no target (None) counts as unlimited; the
-    result is not None then, since a read without a target splits into 200
-    blocks. Before Ray has started, it is the session's target."""
+    fits. Ray's default store is about 30% of memory, so this is the
+    session's own target only while there are about 3.6 GB of memory per
+    CPU: 4 CPUs on a 16 GB host keep 128 MiB, 32 CPUs there get about 19
+    MB. A session with no target (None) counts as unlimited; the result is
+    not None then, since a read without a target splits into 200 blocks.
+    Before Ray has started, it is the session's target.
+
+    The target goes on the Dataset's context (``with_phase1_target``),
+    which every Dataset derived from it shares (a new Dataset copies the
+    plan, not its context; ``materialize()`` copies the context's values).
+    The graph must not run under it (``_partials``)."""
     session = ray.data.DataContext.get_current().target_max_block_size
     res = _cluster_resources()
     store, cpus = res.get("object_store_memory", 0), res.get("CPU", 0)
@@ -158,11 +154,8 @@ def phase1_block_target() -> int:
 
 
 def with_phase1_target(ds: ray.data.Dataset) -> ray.data.Dataset:
-    """``ds`` with ``phase1_block_target()`` on its context. That context is
-    the one object every Dataset derived from ``ds`` shares (a new Dataset
-    copies the plan, not its context, and ``materialize`` copies its
-    values), so the graph Datasets built on the tag output inherit the
-    target; ``_partials`` decides whether they may."""
+    """``ds`` with ``phase1_block_target()`` on its context, which every
+    Dataset derived from ``ds`` shares (see ``phase1_block_target``)."""
     ds.context.target_max_block_size = phase1_block_target()
     return ds
 
@@ -240,11 +233,7 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     Inference Pipeline Execution Using Pure SQL Based on Operator
     Fusion").
 
-    The returned Dataset runs under ``phase1_block_target()``, set on the
-    context it shares with ``pages``, so that Ray Data starts a tag task
-    per CPU at once on a small object store; on a default store that is
-    the session's target and changes nothing. The graph built on it
-    (``kg_tables``) inherits that target, see ``_partials``."""
+    The returned Dataset runs under ``phase1_block_target()``."""
     ds = pages.map_batches(extract_text_batch, batch_format="pyarrow",
                            zero_copy_batch=True)
     # the tagger works on raw bytes (html); drop everything else before the
@@ -596,21 +585,17 @@ def _partials(tagged: ray.data.Dataset) -> tuple[ray.data.Dataset, bool]:
     ``_graph_budget()``; else the distributed plan, for whose groupby and
     sorts they are compacted to ``_compact_small()`` blocks.
 
-    Every graph Dataset shares the context of ``parts``, and every graph
-    block is at most the partials' bytes (``_graph_budget``), so none can
-    be sliced while the partials fit that context's target. A tag output
-    under a smaller target than the session's (``phase1_block_target``)
-    whose partials exceed it is rooted on its blocks under the session's
-    context (``from_arrow_refs``) and its partials are taken again. Only
-    then: that root costs a task per block before the graph can start, and
-    under the session's target the partials map starts one task alone
-    (together 0.05 to 0.1 s of a 0.5 s graph phase at 2,000 pages on a
-    512 MiB store)."""
+    The graph's one-task stages rely on their output staying one block,
+    which holds only under the target ``_graph_budget()`` reads: the
+    session's. ``materialize()`` gives ``parts`` a copy of the tag
+    output's context, whose target may be ``phase1_block_target()``, and
+    every graph Dataset is built on ``parts``, so the session's target
+    set on that copy runs the whole graph (and every table ``kg_tables``
+    returns) under it, at no cost. The partials map itself still runs
+    under the tag output's target."""
     parts = tagged.map_batches(combined_partials, batch_format="pyarrow").materialize()
-    own = parts.context.target_max_block_size
-    if (own != ray.data.DataContext.get_current().target_max_block_size
-            and parts.size_bytes() > (own or 0)):
-        return _partials(ray.data.from_arrow_refs(tagged.to_arrow_refs()))
+    parts.context.target_max_block_size = (
+        ray.data.DataContext.get_current().target_max_block_size)
     if parts.size_bytes() <= _graph_budget():
         return parts, True
     return parts.repartition(_compact_small()).materialize(), False
@@ -669,11 +654,8 @@ def kg_tables(tagged: ray.data.Dataset, cfg: KGConfig, fixture_dir: str,
     overlapped with these: it saturates the CPUs and concurrent executions
     only contend (measured).
 
-    The graph Datasets inherit the target block size of ``tagged``'s
-    context (``tag_pages`` sets ``phase1_block_target()``), and no graph
-    block may exceed it: ``_partials`` keeps that context while the
-    partials fit its target, and roots the graph on the tag output's
-    blocks under the session's context when they do not.
+    Every returned table runs under the session's target block size, not
+    the phase-1 target of ``tagged`` (``_partials``).
 
     ``timings`` (optional): filled with each stage's completion offset in
     seconds from phase start — the profiling seam bench/tuning uses."""

@@ -67,6 +67,10 @@ def test_query_matches_oracle(entry_mod, con, name):
     """Values, plus the Arrow field names and types (in any column order):
     the value compare alone ignores dtypes, so a combiner that widened or
     narrowed a column would otherwise pass."""
+    _assert_matches_oracle(entry_mod, con, name)
+
+
+def _assert_matches_oracle(entry_mod, con, name):
     from ner_backend_ray.pipelines.queries import _collect_table
     res = _collect_table(entry_mod.queries()[name](SF_DIR))
     sql_res = con.sql(entry_mod.oracle_sql()[name]).arrow()
@@ -78,6 +82,28 @@ def test_query_matches_oracle(entry_mod, con, name):
     assert len(got) == len(want), (len(got), len(want))
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=False,
                                   rtol=1e-9, atol=1e-9)
+
+
+def test_kg_queries_under_small_phase1_target(entry_mod, con, monkeypatch):
+    """The kg_* queries over a fresh flagship run whose phase-1 target is
+    forced to 1 MiB: every cached KG table runs under the session's target
+    (the graph does not inherit the tag output's), and each query still
+    matches its oracle."""
+    import ray.data
+
+    from ner_backend_ray.pipelines import kg, queries
+
+    monkeypatch.setattr(kg, "phase1_block_target", lambda: 2**20)
+    monkeypatch.setattr(queries, "_KG_CACHE", {})
+    session = ray.data.DataContext.get_current().target_max_block_size
+    assert session != 2**20
+    tables = queries.kg_results(SF_DIR)
+    assert {name: ds.context.target_max_block_size for name, ds in tables.items()} == {
+        name: session for name in tables}
+    names = [n for n in SQL_CHECKED if n.startswith("kg_")]
+    assert len(names) >= 5, names
+    for name in names:
+        _assert_matches_oracle(entry_mod, con, name)
 
 
 def test_rows_only_queries_run(entry_mod):

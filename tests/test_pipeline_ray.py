@@ -788,9 +788,10 @@ def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
 def test_phase1_block_target_fits_the_object_store(ray_session, tiny_fixture,
                                                    monkeypatch):
     """The phase-1 target is min(session target, object store / (8 ×
-    CPUs)): 16 MiB for a 512 MiB store and 4 CPUs, the session's own target
-    for Ray's default store (30% of 16 GB here). ``tag_pages`` puts it on
-    its own Dataset's context and leaves the session's alone."""
+    CPUs)): 16 MiB for a 512 MiB store and 4 CPUs; on Ray's default store
+    (30% of 16 GB) the session's own target for 4 CPUs, but 18.75 MB for
+    32 CPUs (``bench.py``'s default session). ``tag_pages`` puts it on its
+    own Dataset's context and leaves the session's alone."""
     import ray.data
 
     from ner_backend_ray.oracle import KGConfig
@@ -800,6 +801,9 @@ def test_phase1_block_target_fits_the_object_store(ray_session, tiny_fixture,
     monkeypatch.setattr(kg, "_cluster_resources", lambda: {
         "CPU": 4.0, "object_store_memory": 0.3 * 16e9})
     assert kg.phase1_block_target() == session
+    monkeypatch.setattr(kg, "_cluster_resources", lambda: {
+        "CPU": 32.0, "object_store_memory": 0.3 * 16e9})
+    assert kg.phase1_block_target() == 18_750_000 < session
     monkeypatch.setattr(kg, "_cluster_resources", lambda: {
         "CPU": 4.0, "object_store_memory": 512.0 * 2**20})
     assert kg.phase1_block_target() == 16 * 2**20
@@ -814,19 +818,14 @@ def oracle_2k(pages_2k):
     return run_oracle(pages_2k)
 
 
-@pytest.mark.parametrize("target,graph_on", [(2**20, "session"),
-                                             (4 * 2**20, "tag output")])
 def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
-                                                    oracle_2k, monkeypatch,
-                                                    target, graph_on):
-    """With the phase-1 target forced to 1 or 4 MiB, read and tag still run
-    as one operator with one task per pages file (at 1 MiB Ray slices
-    their outputs into more blocks). The graph keeps the tag output's
-    context while the 2 MB of partials fit its target (4 MiB), and runs
-    under the session's when they exceed 1.5 × it (1 MiB); either way,
-    under the one-task plan, nodes is one block, and nodes, edges and
-    key_map are byte-identical to the distributed plan's and equal the
-    oracle."""
+                                                    oracle_2k, monkeypatch):
+    """With the phase-1 target forced to 1 MiB, read and tag still run as
+    one operator with one task per pages file, and Ray slices their
+    outputs into more blocks. The graph runs under the session's target
+    although the 2 MB of partials exceed 1.5 × the tag output's: under the
+    one-task plan nodes is one block, and nodes, edges and key_map are
+    byte-identical to the distributed plan's and equal the oracle."""
     import re
 
     import ray.data
@@ -834,6 +833,7 @@ def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
     from ner_backend_ray.oracle import KGConfig
     from ner_backend_ray.pipelines import kg
 
+    target = 2**20
     monkeypatch.setattr(kg, "phase1_block_target", lambda: target)
     session = ray.data.DataContext.get_current().target_max_block_size
     cfg = KGConfig()
@@ -842,9 +842,9 @@ def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
     ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", docs.stats(), re.M)
     assert ops == [("ReadParquet->MapBatches(extract_text_batch)->Project->"
                     "MapBatches(TagDocs)", str(n_files))], ops
-    assert (docs.num_blocks() > n_files) == (target == 2**20)
-    parts_bytes = kg.combined_partials(_collect(docs)).nbytes
-    assert target < parts_bytes / 1.5 if graph_on == "session" else parts_bytes < target
+    assert docs.num_blocks() > n_files
+    assert docs.context.target_max_block_size == target
+    assert target < kg.combined_partials(_collect(docs)).nbytes / 1.5
 
     got = {}
     for plan in ("distributed", "one_task"):
@@ -852,7 +852,7 @@ def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
         tables = kg.kg_tables(docs, cfg, pages_2k,
                               tables=("nodes", "edges", "key_map"))
         assert {ds.context.target_max_block_size for ds in tables.values()} == {
-            session if graph_on == "session" else target}, plan
+            session}, plan
         got[plan] = {name: _collect(ds) for name, ds in tables.items()}
     assert tables["nodes"].num_blocks() == 1
     assert ({name: _ipc(t) for name, t in got["one_task"].items()}
