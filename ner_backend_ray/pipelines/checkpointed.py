@@ -8,21 +8,25 @@ on boot, no partial-task resume). Ours is file-system-native:
 - **Partition = one input pages parquet file** (the analog of a bin-packed
   InferenceTask shard, internal/storage/file_system_connector_utils.go:12-63; at real
   scale a shard is a ~200 MB-10 GB file, processor.go:715-718).
-- Phase 1 (embarrassingly parallel, no shuffle) runs as one Ray Data task per
-  file over the *task list* dataset. Each task streams its file,
-  ``cfg.batch_size`` rows at a time, through extract and the streaming
-  pipeline's phase-1 function (``kg.tag_batches`` with ``kg.tag_kernel``,
-  built once per worker process), so it holds one file's tag output at
-  most, never the corpus's. It splits that union by kind into
+- Phase 1 (embarrassingly parallel, no shuffle) runs over the *task list*
+  dataset, its files packed in order into as many Ray Data tasks as the
+  streaming read runs (``kg.phase1_tasks``; one task per file when there
+  are fewer files than CPUs). A task takes its files one at a time and
+  streams each, ``cfg.batch_size`` rows at a time, through extract and the
+  streaming pipeline's phase-1 function (``kg.tag_batches`` with
+  ``kg.tag_kernel``, built once per worker process), so it holds one
+  file's tag output at most, never the corpus's. It splits that union by
+  kind into
   ``{out}/{table}/part-{pid}.parquet``, written atomically (tmp + rename):
   ``docs`` (url, token_count), ``mentions``, ``groups``, ``triples`` and
   ``parts`` (LSH band rows, node partials, raw edge partials), and finally
   ``{out}/_lineage/part-{pid}.json`` with input fingerprint + row counters.
   A partition's outputs are a pure function of its input file and every
   write is atomic, so a retried task (its worker died) and a resumed run
-  are both byte-identical. The task list runs under
+  are both byte-identical; a retried task skips the files whose lineage
+  entry its first attempt wrote. The task list runs under
   ``kg.phase1_block_target()``; phase 2 reads ``parts`` in a Dataset of
-  its own, under the session's target.
+  its own (``kg.read_parquet_dir``), under the session's target.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten,
   and every file of a partition past the input files (an earlier run over
@@ -54,8 +58,8 @@ import ray.data
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
 from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, rows_of
-from .kg import (combined_partials, kg_tables, tag_batches, tag_kernel,
-                 with_phase1_target)
+from .kg import (combined_partials, kg_tables, phase1_tasks, read_parquet_dir,
+                 tag_batches, tag_kernel, with_phase1_target)
 
 
 def _fingerprint(path: str) -> dict:
@@ -110,6 +114,15 @@ def _write_partition(path: str, pid: int, kernel, out_dir: str,
     os.replace(tmp, os.path.join(ldir, f"part-{pid:05d}.json"))
 
 
+def _finished(out_dir: str, pid: int, path: str) -> bool:
+    """Partition ``pid`` has a lineage entry for ``path`` as it is now."""
+    try:
+        with open(os.path.join(out_dir, "_lineage", f"part-{pid:05d}.json")) as f:
+            return json.load(f)["input"] == _fingerprint(path)
+    except FileNotFoundError:
+        return False
+
+
 def completed_partitions(out_dir: str) -> dict[int, dict]:
     done = {}
     for p in glob.glob(os.path.join(out_dir, "_lineage", "part-*.json")):
@@ -121,9 +134,12 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
 
 def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
                concurrency: int | None = None, max_partitions: int | None = None) -> dict:
-    """Tag/link/triple phase with per-partition checkpointing, one task per
-    input file; ``concurrency`` caps the concurrent tasks. ``max_partitions``
-    exists for the kill/resume test (process only the first k partitions)."""
+    """Tag/link/triple phase with per-partition checkpointing: the files
+    to (re-)tag, packed in order into ``kg.phase1_tasks`` tasks (one per
+    file below one file per CPU), each task writing one partition and one
+    lineage entry per file, in order; ``concurrency`` caps the concurrent
+    tasks. ``max_partitions`` exists for the kill/resume test (process only
+    the first k partitions)."""
     cfg = cfg or KGConfig()
     files = sorted(glob.glob(os.path.join(fixture_dir, "pages", "part-*.parquet")))
     # Files of partitions past the input files, left by an earlier run over
@@ -131,13 +147,9 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
     # as a .tmp): phase 2 reads every file under parts/.
     stale = [p for p in glob.glob(os.path.join(out_dir, "*", "part-*"))
              if int(os.path.basename(p)[5:].split(".")[0]) >= len(files)]
-    done = completed_partitions(out_dir)
-    tasks = []
-    for pid, path in enumerate(files):
-        entry = done.get(pid)
-        if entry is not None and entry["input"] == _fingerprint(path):
-            continue  # resume: skip completed partition
-        tasks.append({"path": path, "pid": pid})
+    # resume: skip every finished partition
+    tasks = [{"path": path, "pid": pid} for pid, path in enumerate(files)
+             if not _finished(out_dir, pid, path)]
     if max_partitions is not None:
         tasks = tasks[:max_partitions]
 
@@ -155,13 +167,16 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
 
         def tag_files(batch: dict) -> dict:
             for path, pid in zip(batch["path"], batch["pid"]):
-                _write_partition(str(path), int(pid), kernel, out_dir,
-                                 cfg.batch_size)
+                # a retried task (its worker died) keeps the files its
+                # first attempt finished
+                if not _finished(out_dir, int(pid), str(path)):
+                    _write_partition(str(path), int(pid), kernel, out_dir,
+                                     cfg.batch_size)
             return {"pid": batch["pid"]}
 
-        files_ds = with_phase1_target(
-            ray.data.from_items(tasks, override_num_blocks=len(tasks)))
-        files_ds.map_batches(tag_files, batch_size=1,
+        n = phase1_tasks(pq.read_metadata(t["path"]) for t in tasks) or len(tasks)
+        files_ds = with_phase1_target(ray.data.from_items(tasks, override_num_blocks=n))
+        files_ds.map_batches(tag_files, batch_size=None,
                              concurrency=concurrency).materialize()
 
     done = completed_partitions(out_dir)
@@ -190,7 +205,7 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
         if last.get("partitions") == done:
             return {"skipped": True, "nodes": last["nodes"], "edges": last["edges"]}
 
-    parts = ray.data.read_parquet(os.path.join(out_dir, "parts"))
+    parts = read_parquet_dir(os.path.join(out_dir, "parts"))
     os.makedirs(os.path.dirname(marker), exist_ok=True)
     counts = {}
     for name, ds in kg_tables(parts, cfg, fixture_dir,

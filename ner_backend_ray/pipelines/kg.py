@@ -1,9 +1,9 @@
 """The flagship KG-construction pipeline: its phase-1 function and its one
 graph builder.
 
-    read_parquet(pages)                           ┐ ONE operator, one task per
-      → map_batches(extract_text_batch)           │ read block (Ray Data's default
-      → map_batches(TagDocs, batch_size=None)     ┘ read parallelism)
+    read_parquet(pages)                           ┐ ONE operator, one wave of
+      → map_batches(extract_text_batch)           │ ``phase1_tasks`` tasks, whole
+      → map_batches(TagDocs, batch_size=None)     ┘ pages files packed into each
           [extract: stateless, byte-identity invariant; TagDocs: ONE kernel,
            clean→tag→validate→coalesce→groups→triples→link per doc,
            cfg.batch_size docs per call, model + alias dict loaded once per
@@ -19,8 +19,9 @@ LSH band rows, node partials and raw edge partials. ``tag_pages`` runs it
 per read block and keeps the output in the object store (the in-memory
 path of the queries and the benchmarks); the one writing runner
 (pipelines/checkpointed.py) runs it per input file, streaming the file's
-batches, and writes the output as Parquet. ``kg_tables`` is the only graph
-builder, fed the materialized tag output or the phase-1 ``parts/``
+batches, and writes the output as Parquet. Both runners pack whole files
+into the same number of tasks, ``phase1_tasks``. ``kg_tables`` is the only
+graph builder, fed the materialized tag output or the phase-1 ``parts/``
 Parquet. It is a declared table of stages, name → (deps, fn), and one
 small scheduler (``_run_stages``) runs the ancestors of the requested
 tables, each once its deps are done:
@@ -66,11 +67,13 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data
@@ -160,14 +163,45 @@ def with_phase1_target(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ds
 
 
-def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
-    """The pages Parquet at Ray Data's default read parallelism (at least
-    two blocks per CPU, and up to 200 blocks of ~1 MiB or more). When that
-    asks for no more blocks than there are files, no file is split and the
-    read fuses into the tag task (``tag_pages``); a split (``SplitBlocks``
-    in the stats) keeps the read its own operator. ``filesystem``: optional
-    pyarrow/fsspec filesystem (the object-store seam — reference reads pages
-    from S3, s3_connector.go:71-93).
+def phase1_tasks(footers: Iterable[pq.FileMetaData]) -> int | None:
+    """How many tasks a phase-1 read of the Parquet files with these
+    ``footers`` runs as (both runners, and the checkpointed graph phase's
+    read of ``parts/``), each task taking whole files: with ``f`` non-empty
+    files and ``c`` session CPUs, ``min(f, c·k)`` for the smallest ``k ≥
+    1`` at which the files' uncompressed bytes over ``c·k`` tasks fit in
+    ``phase1_block_target()``. That is one wave of one task per CPU unless
+    memory asks for more. Ray Data's executor sees a finished task only
+    once every running task has finished or 100 ms have passed
+    (``ray/data/_internal/execution/streaming_executor_state.py:499-504``
+    in Ray 2.49), so a second wave of short tasks waits on that poll: at
+    2,000 pages in 8 files on 4 CPUs, eight one-file tasks ran in two
+    waves, and the second started 80-120 ms after the first ended. The
+    reference packs objects into byte-sized tasks alike
+    (``file_system_connector_utils.go:12-63``).
+
+    None (Ray Data's default parallelism) when there are fewer non-empty
+    files than CPUs, or no session: one file per task would leave CPUs
+    idle, and Ray's default then splits the files' blocks
+    (``read_parquet_dir``)."""
+    sizes = [sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+             for md in footers if md.num_rows]
+    cpus = int(_cluster_resources().get("CPU", 0))
+    if not cpus or len(sizes) < cpus:
+        return None
+    target = phase1_block_target()
+    k = -(-sum(sizes) // (cpus * target)) if target else 1
+    return min(len(sizes), cpus * max(1, k))
+
+
+def read_parquet_dir(path: str, filesystem=None) -> ray.data.Dataset:
+    """The Parquet files under ``path`` in ``phase1_tasks`` read tasks, each
+    reading whole files, so no file is split and a map over the read fuses
+    into the read task (``tag_pages``). Ray Data's default parallelism,
+    used below one file per CPU, asks for at least two blocks per CPU and
+    splits files to get them (``SplitBlocks`` in the stats); the read is
+    then an operator of its own. ``filesystem``: optional pyarrow/fsspec
+    filesystem (the object-store seam — reference reads pages from S3,
+    s3_connector.go:71-93).
 
     Files whose Parquet footer says 0 rows are left out: Ray's read task
     drops a 0-row table, and Ray Data calls no map function on the empty
@@ -176,10 +210,16 @@ def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
     import pyarrow.dataset as pads
 
     from ..sources.fs import wrap_for_arrow
-    pages = pads.dataset(os.path.join(fixture_dir, "pages"), format="parquet",
-                         filesystem=wrap_for_arrow(filesystem))
-    paths = [f.path for f in pages.get_fragments() if f.metadata.num_rows]
-    return ray.data.read_parquet(paths or pages.files, filesystem=pages.filesystem)
+    files = pads.dataset(path, format="parquet", filesystem=wrap_for_arrow(filesystem))
+    footers = {f.path: f.metadata for f in files.get_fragments()}
+    paths = [p for p, md in footers.items() if md.num_rows]
+    return ray.data.read_parquet(paths or files.files, filesystem=files.filesystem,
+                                 override_num_blocks=phase1_tasks(footers.values()))
+
+
+def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
+    """The fixture's pages Parquet (``read_parquet_dir``)."""
+    return read_parquet_dir(os.path.join(fixture_dir, "pages"), filesystem)
 
 
 def tag_kernel(cfg: KGConfig, fixture_dir: str):
@@ -220,10 +260,11 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     (stages/kernel.py::per_process), so the executor, not a pool reserved per
     pipeline, owns the CPU slots.
 
-    Read, extract and tag run as ONE operator, one task per read block (when
-    the read splits no file, see ``read_pages``): the tag map takes whole
-    blocks (``batch_size=None``) and feeds the kernel ``cfg.batch_size``
-    docs per call. A block split on the read, or a ``batch_size`` or a
+    Read, extract and tag run as ONE operator of ``phase1_tasks`` tasks
+    (when the read splits no file, see ``read_parquet_dir``), each over
+    whole pages files: the tag map takes whole read blocks
+    (``batch_size=None``) and feeds the kernel ``cfg.batch_size`` docs per
+    call. A block split on the read, or a ``batch_size`` or a
     ``concurrency`` on this map (Ray fuses two task maps only when their
     concurrency caps match, and the read sets none), makes Ray Data plan
     read and tag as two operators with a queue and a CPU reservation

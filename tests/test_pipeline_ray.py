@@ -616,9 +616,8 @@ def test_tag_kernel_lives_one_pipeline(ray_session, tiny_fixture, tmp_path):
     fx = str(tmp_path / "fixture")
     shutil.copytree(tiny_fixture, fx)
     alias_path = os.path.join(fx, "alias_dict.parquet")
-    # one tag task per pages file, more files than the session's CPUs: the
-    # second run's tasks land on worker processes that ran the first run's
-    # kernel
+    # one tag task per CPU: the second run's tasks land on worker processes
+    # that ran the first run's kernel
     cfg = KGConfig(batch_size=8)
 
     def linked() -> dict:
@@ -649,12 +648,17 @@ import os
 from ner_backend_ray.stages.tag import TagDocs
 
 MARKER = {marker!r}
+# the crash is armed only once this path exists (None: from the start)
+AFTER = {after!r}
 
 
 class CrashOnceTagDocs(TagDocs):
-    \"\"\"TagDocs whose first call in the session kills its worker process.\"\"\"
+    \"\"\"TagDocs whose first call in the session, once armed, kills its
+    worker process.\"\"\"
 
     def __call__(self, batch):
+        if AFTER is not None and not os.path.exists(AFTER):
+            return super().__call__(batch)
         try:
             os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except FileExistsError:
@@ -720,7 +724,7 @@ def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
 
     marker = str(tmp_path / "crashed")
     (tmp_path / "crash_once.py").write_text(
-        _CRASH_ONCE_MODULE.format(marker=marker))
+        _CRASH_ONCE_MODULE.format(marker=marker, after=None))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run([sys.executable, "-c", _CRASH_RUN, tiny_fixture,
                            str(tmp_path)],
@@ -737,10 +741,86 @@ def test_tag_task_survives_worker_death(tiny_fixture, tmp_path):
     assert ok["rows"] > 0
 
 
+_PACKED_CRASH_RUN = """
+import glob, json, os, sys
+import pyarrow.parquet as pq, ray, ray.data
+ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from crash_once import MARKER, CrashOnceTagDocs
+from ner_backend_ray.oracle import KGConfig
+from ner_backend_ray.pipelines import kg
+from ner_backend_ray.pipelines.checkpointed import run_phase1
+
+fx, work = sys.argv[1], sys.argv[2]
+stats = {}
+
+def phase1_files(name):
+    \"\"\"run_phase1 into work/name → {output file: (bytes, mtime ns)}.\"\"\"
+    out = os.path.join(work, name)
+    stats[name] = run_phase1(fx, out, KGConfig())
+    files = glob.glob(os.path.join(out, "*", "part-*"))
+    return {os.path.relpath(f, out): (open(f, "rb").read(), os.stat(f).st_mtime_ns)
+            for f in files}
+
+want = phase1_files("want")
+kg.TagDocs = CrashOnceTagDocs
+got = phase1_files("got")
+crashed_at = os.stat(MARKER).st_mtime_ns
+print(json.dumps({
+    "tasks": kg.phase1_tasks(pq.read_metadata(p)
+                             for p in glob.glob(os.path.join(fx, "pages", "*"))),
+    "partitions_run": stats["got"]["partitions_run"],
+    # a lineage entry holds its partition's wall time, so only the tables compare
+    "same_bytes": ({f: b for f, (b, _) in got.items() if f.endswith(".parquet")}
+                   == {f: b for f, (b, _) in want.items() if f.endswith(".parquet")}),
+    # file times tick coarsely: the crash can share the first lineage's tick
+    "written_before_crash": sorted(f for f, (_, t) in got.items() if t <= crashed_at),
+    "written_after_crash": sorted(f for f, (_, t) in got.items() if t > crashed_at)}))
+ray.shutdown()
+"""
+
+
+def test_packed_phase1_task_resumes_after_worker_death(tiny_fixture, tmp_path):
+    """One checkpointed phase-1 task holds two pages files (a 1-CPU
+    session), and its worker dies in the second file, after the first
+    file's lineage entry: the retried task re-runs only the second file.
+    The first file's outputs keep the bytes and times of the first
+    attempt, and every output equals an uncrashed run's."""
+    import json
+    import subprocess
+    import sys
+
+    fx = str(tmp_path / "fixture")
+    shutil.copytree(tiny_fixture, fx)
+    for p in sorted(glob.glob(os.path.join(fx, "pages", "part-*.parquet")))[2:]:
+        os.remove(p)
+    work = tmp_path / "work"
+    work.mkdir()
+    marker = str(tmp_path / "crashed")
+    (tmp_path / "crash_once.py").write_text(_CRASH_ONCE_MODULE.format(
+        marker=marker, after=str(work / "got" / "_lineage" / "part-00000.json")))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PACKED_CRASH_RUN, fx, str(work)],
+                          cwd=root,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join([root, str(tmp_path)])},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    ok = json.loads(proc.stdout.strip().splitlines()[-1])
+    first = sorted([f"{t}/part-00000.parquet" for t in
+                    ("docs", "groups", "mentions", "parts", "triples")]
+                   + ["_lineage/part-00000.json"])
+    assert ok == {"tasks": 1, "partitions_run": 2, "same_bytes": True,
+                  "written_before_crash": first,
+                  "written_after_crash": [f.replace("00000", "00001")
+                                          for f in first]}, ok
+
+
 @pytest.fixture(scope="module")
 def pages_2k():
-    """2,000 pages in 8 files of 250 rows: few enough rows per file that Ray
-    Data plans one read block per file and splits none."""
+    """2,000 pages in 8 files of 250 rows: at least as many files as the
+    session's CPUs, so the read packs whole files into one task per CPU and
+    splits none."""
     from ner_backend_ray.fixtures.pages import generate_pages
     return generate_pages(0.002)
 
@@ -770,6 +850,63 @@ def test_read_and_tag_run_as_one_operator(ray_session, pages_2k):
     from ner_backend_ray.stages.tag import DOC
 
     assert _rows(_fused_docs(pages_2k, KGConfig()), DOC).num_rows == 2000
+
+
+def test_10k_pages_run_as_one_wave_of_fused_tasks(ray_session):
+    """10,000 pages in 8 files (more rows per file than Ray Data's default
+    read would leave whole) run as ONE fused read → tag operator of one
+    task per CPU, each task reading two whole files."""
+    import re
+
+    import ray
+
+    from ner_backend_ray.fixtures.pages import generate_pages
+    from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.stages.tag import DOC
+
+    fx = generate_pages(0.01)
+    assert len(glob.glob(os.path.join(fx, "pages", "part-*.parquet"))) == 8
+    docs = _fused_docs(fx, KGConfig())
+    ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", docs.stats(), re.M)
+    assert ops == [("ReadParquet->MapBatches(extract_text_batch)->Project->"
+                    "MapBatches(TagDocs)", str(int(ray.cluster_resources()["CPU"])))], ops
+    assert _rows(docs, DOC).num_rows == 10000
+
+
+def test_phase1_tasks_rule(tmp_path, monkeypatch):
+    """``phase1_tasks``: one task per CPU while the files' uncompressed
+    bytes fit ``phase1_block_target()`` per task, ``c·k`` tasks on a
+    smaller store (at most one per file), and Ray Data's default (None)
+    with fewer non-empty files than CPUs; a 0-row file does not count."""
+    from ner_backend_ray.pipelines import kg
+
+    table = pa.table({"html": ["<p>page %d</p>" % i * 50 for i in range(40)]})
+    paths = []
+    for i in range(12):
+        pq.write_table(table, tmp_path / f"part-{i:05d}.parquet")
+        paths.append(tmp_path / f"part-{i:05d}.parquet")
+    pq.write_table(table.slice(0, 0), tmp_path / "empty.parquet")
+    footers = [pq.read_metadata(p) for p in paths + [tmp_path / "empty.parquet"]]
+    total = sum(md.row_group(0).total_byte_size for md in footers[:-1])
+
+    def plan(cpus: int, store: float) -> int | None:
+        monkeypatch.setattr(kg, "_cluster_resources", lambda: {
+            "CPU": float(cpus), "object_store_memory": store})
+        return kg.phase1_tasks(footers)
+
+    big = 16e9
+    assert plan(4, big) == 4
+    assert plan(12, big) == 12
+    # target = store / (8 × 4 CPUs) = total / 6: k = 2 tasks per CPU
+    assert plan(4, 32 * -(-total // 6)) == 8
+    # a target of a byte: one task per file
+    assert plan(4, 32.0) == 12
+    # 12 non-empty files: 13 CPUs get Ray's default although there are
+    # 13 files
+    assert plan(13, big) is None
+    assert plan(16, big) is None
+    monkeypatch.setattr(kg, "_cluster_resources", lambda: {})
+    assert kg.phase1_tasks(footers) is None
 
 
 def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
@@ -821,8 +958,8 @@ def oracle_2k(pages_2k):
 def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
                                                     oracle_2k, monkeypatch):
     """With the phase-1 target forced to 1 MiB, read and tag still run as
-    one operator with one task per pages file, and Ray slices their
-    outputs into more blocks. The graph runs under the session's target
+    one operator of one task per CPU (the 3.5 MB of pages fit 1 MiB per
+    task on 4 CPUs), and Ray slices their outputs into more blocks. The graph runs under the session's target
     although the 2 MB of partials exceed 1.5 × the tag output's: under the
     one-task plan nodes is one block, and nodes, edges and key_map are
     byte-identical to the distributed plan's and equal the oracle."""
@@ -838,11 +975,11 @@ def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
     session = ray.data.DataContext.get_current().target_max_block_size
     cfg = KGConfig()
     docs = kg.tag_pages(kg.read_pages(pages_2k), cfg, pages_2k).materialize()
-    n_files = len(glob.glob(os.path.join(pages_2k, "pages", "part-*.parquet")))
+    cpus = int(ray.cluster_resources()["CPU"])
     ops = re.findall(r"^Operator \d+ (.+?): (\d+) tasks executed", docs.stats(), re.M)
     assert ops == [("ReadParquet->MapBatches(extract_text_batch)->Project->"
-                    "MapBatches(TagDocs)", str(n_files))], ops
-    assert docs.num_blocks() > n_files
+                    "MapBatches(TagDocs)", str(cpus))], ops
+    assert docs.num_blocks() > cpus
     assert docs.context.target_max_block_size == target
     assert target < kg.combined_partials(_collect(docs)).nbytes / 1.5
 
@@ -1263,20 +1400,26 @@ def test_output_schemas_are_pinned(tiny_docs, tiny_fixture, tmp_path):
             for n in want} == want
 
 
-def test_phase1_parts_equal_streaming_partials(tiny_docs, tiny_fixture, tmp_path):
+def test_phase1_parts_equal_streaming_partials(ray_session, tiny_fixture, tmp_path,
+                                               monkeypatch):
     """The checkpointed phase 1 and ``tag_pages`` run one phase-1 function,
-    per input file and per read block: on the tiny fixture (one read block
-    per file), the ``parts/`` Parquet holds, sorted, byte for byte the rows
-    of the streaming ``combined_partials``."""
+    per input file and per read block: with the streaming read planned as
+    one task per pages file (so one read block per file, as the
+    checkpointed runner writes one partition per file), the ``parts/``
+    Parquet holds, sorted, byte for byte the rows of the streaming
+    ``combined_partials``."""
     from ner_backend_ray.oracle import KGConfig
+    from ner_backend_ray.pipelines import kg
     from ner_backend_ray.pipelines.checkpointed import run_phase1
-    from ner_backend_ray.pipelines.kg import combined_partials
 
     out = str(tmp_path / "ckpt")
     run_phase1(tiny_fixture, out, KGConfig(), concurrency=2)
     written = pq.read_table(os.path.join(out, "parts"))
-    streamed = _collect(tiny_docs.map_batches(combined_partials,
-                                              batch_format="pyarrow"))
+    monkeypatch.setattr(kg, "phase1_tasks",
+                        lambda footers: sum(1 for md in footers if md.num_rows))
+    docs = kg.tag_pages(kg.read_pages(tiny_fixture), KGConfig(), tiny_fixture)
+    streamed = _collect(docs.map_batches(kg.combined_partials,
+                                         batch_format="pyarrow"))
     assert written.num_rows > 0
     assert _ipc(written) == _ipc(streamed)
 
