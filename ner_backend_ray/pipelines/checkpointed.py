@@ -9,14 +9,14 @@ on boot, no partial-task resume). Ours is file-system-native:
   InferenceTask shard, internal/storage/file_system_connector_utils.go:12-63; at real
   scale a shard is a ~200 MB-10 GB file, processor.go:715-718).
 - Phase 1 (embarrassingly parallel, no shuffle) runs over the *task list*
-  dataset, its files packed in order into as many Ray Data tasks as the
-  streaming read runs (``kg.phase1_tasks``; one task per file when there
-  are fewer files than CPUs). A task takes its files one at a time and
-  streams each, ``cfg.batch_size`` rows at a time, through extract and the
-  streaming pipeline's phase-1 function (``kg.tag_batches`` with
-  ``kg.tag_kernel``, built once per worker process), so it holds one
-  file's tag output at most, never the corpus's. It splits that union by
-  kind into
+  dataset, its files grouped into Ray Data tasks by the streaming read's
+  plan (``kg.phase1_tasks``: one task per CPU, files spread by their bytes;
+  one task per file when there are fewer files than CPUs). A task takes
+  its files one at a time, in order, and streams each, ``cfg.batch_size``
+  rows at a time, through extract and the streaming pipeline's phase-1
+  function (``kg.tag_batches`` with ``kg.tag_kernel``, built once per
+  worker process), so it holds one file's tag output at most, never the
+  corpus's. It splits that union by kind into
   ``{out}/{table}/part-{pid}.parquet``, written atomically (tmp + rename):
   ``docs`` (url, token_count), ``mentions``, ``groups``, ``triples`` and
   ``parts`` (LSH band rows, node partials, raw edge partials), and finally
@@ -26,7 +26,7 @@ on boot, no partial-task resume). Ours is file-system-native:
   are both byte-identical; a retried task skips the files whose lineage
   entry its first attempt wrote. The task list runs under
   ``kg.phase1_block_target()``; phase 2 reads ``parts`` in a Dataset of
-  its own (``kg.read_parquet_dir``), under the session's target.
+  its own, under the session's target.
 - Resume = skip every pid whose lineage entry exists and matches the input
   fingerprint; partially-written partitions (no lineage yet) are overwritten,
   and every file of a partition past the input files (an earlier run over
@@ -58,8 +58,8 @@ import ray.data
 from ..oracle import KGConfig
 from ..stages.extract import extract_text_batch
 from ..stages.tag import DOC, GROUP, MENTION, TRIPLE, rows_of
-from .kg import (combined_partials, kg_tables, phase1_tasks, read_parquet_dir,
-                 tag_batches, tag_kernel, with_phase1_target)
+from .kg import (combined_partials, kg_tables, phase1_tasks, tag_batches,
+                 tag_kernel, with_phase1_target)
 
 
 def _fingerprint(path: str) -> dict:
@@ -135,8 +135,8 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
 def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
                concurrency: int | None = None, max_partitions: int | None = None) -> dict:
     """Tag/link/triple phase with per-partition checkpointing: the files
-    to (re-)tag, packed in order into ``kg.phase1_tasks`` tasks (one per
-    file below one file per CPU), each task writing one partition and one
+    to (re-)tag, grouped into tasks by ``kg.phase1_tasks`` (one per file
+    below one file per CPU), each task writing one partition and one
     lineage entry per file, in order; ``concurrency`` caps the concurrent
     tasks. ``max_partitions`` exists for the kill/resume test (process only
     the first k partitions)."""
@@ -174,8 +174,10 @@ def run_phase1(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None,
                                      cfg.batch_size)
             return {"pid": batch["pid"]}
 
-        n = phase1_tasks(pq.read_metadata(t["path"]) for t in tasks) or len(tasks)
-        files_ds = with_phase1_target(ray.data.from_items(tasks, override_num_blocks=n))
+        plan = (phase1_tasks([pq.read_metadata(t["path"]) for t in tasks])
+                or [[i] for i in range(len(tasks))])
+        files_ds = with_phase1_target(ray.data.from_items(
+            [tasks[i] for t in plan for i in t], override_num_blocks=len(plan)))
         files_ds.map_batches(tag_files, batch_size=None,
                              concurrency=concurrency).materialize()
 
@@ -205,7 +207,7 @@ def run_phase2(fixture_dir: str, out_dir: str, cfg: KGConfig | None = None) -> d
         if last.get("partitions") == done:
             return {"skipped": True, "nodes": last["nodes"], "edges": last["edges"]}
 
-    parts = read_parquet_dir(os.path.join(out_dir, "parts"))
+    parts = ray.data.read_parquet(os.path.join(out_dir, "parts"))
     os.makedirs(os.path.dirname(marker), exist_ok=True)
     counts = {}
     for name, ds in kg_tables(parts, cfg, fixture_dir,

@@ -3,7 +3,7 @@ graph builder.
 
     read_parquet(pages)                           ┐ ONE operator, one wave of
       → map_batches(extract_text_batch)           │ ``phase1_tasks`` tasks, whole
-      → map_batches(TagDocs, batch_size=None)     ┘ pages files packed into each
+      → map_batches(TagDocs, batch_size=None)     ┘ pages files in each
           [extract: stateless, byte-identity invariant; TagDocs: ONE kernel,
            clean→tag→validate→coalesce→groups→triples→link per doc,
            cfg.batch_size docs per call, model + alias dict loaded once per
@@ -19,8 +19,8 @@ LSH band rows, node partials and raw edge partials. ``tag_pages`` runs it
 per read block and keeps the output in the object store (the in-memory
 path of the queries and the benchmarks); the one writing runner
 (pipelines/checkpointed.py) runs it per input file, streaming the file's
-batches, and writes the output as Parquet. Both runners pack whole files
-into the same number of tasks, ``phase1_tasks``. ``kg_tables`` is the only
+batches, and writes the output as Parquet. Both runners group whole files
+into tasks the same way, ``phase1_tasks``. ``kg_tables`` is the only
 graph builder, fed the materialized tag output or the phase-1 ``parts/``
 Parquet. It is a declared table of stages, name → (deps, fn), and one
 small scheduler (``_run_stages``) runs the ancestors of the requested
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -163,43 +162,57 @@ def with_phase1_target(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ds
 
 
-def phase1_tasks(footers: Iterable[pq.FileMetaData]) -> int | None:
-    """How many tasks a phase-1 read of the Parquet files with these
-    ``footers`` runs as (both runners, and the checkpointed graph phase's
-    read of ``parts/``), each task taking whole files: with ``f`` non-empty
-    files and ``c`` session CPUs, ``min(f, c·k)`` for the smallest ``k ≥
-    1`` at which the files' uncompressed bytes over ``c·k`` tasks fit in
-    ``phase1_block_target()``. That is one wave of one task per CPU unless
-    memory asks for more. Ray Data's executor sees a finished task only
-    once every running task has finished or 100 ms have passed
-    (``ray/data/_internal/execution/streaming_executor_state.py:499-504``
-    in Ray 2.49), so a second wave of short tasks waits on that poll: at
-    2,000 pages in 8 files on 4 CPUs, eight one-file tasks ran in two
-    waves, and the second started 80-120 ms after the first ended. The
-    reference packs objects into byte-sized tasks alike
-    (``file_system_connector_utils.go:12-63``).
+def _uncompressed_bytes(md: pq.FileMetaData) -> int:
+    return sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
 
-    None (Ray Data's default parallelism) when there are fewer non-empty
-    files than CPUs, or no session: one file per task would leave CPUs
-    idle, and Ray's default then splits the files' blocks
-    (``read_parquet_dir``)."""
-    sizes = [sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
-             for md in footers if md.num_rows]
+
+def phase1_tasks(footers: list[pq.FileMetaData]) -> list[list[int]] | None:
+    """How phase 1 runs the Parquet files with these ``footers``, in both
+    runners: the files' indices grouped into one task per session CPU, each
+    task taking whole files, so the phase runs in one wave. Ray Data's
+    executor sees a finished task only once every running task has finished
+    or 100 ms have passed
+    (``ray/data/_internal/execution/streaming_executor_state.py:499-504`` in
+    Ray 2.49), so a second wave of short tasks waits on that poll: at 2,000
+    pages in 8 files on 4 CPUs, eight one-file tasks ran in two waves, and
+    the second started 80-120 ms after the first ended.
+
+    With ``f`` files on ``c`` CPUs, every task gets ``f // c`` files and the
+    first ``f % c`` tasks one more, since Ray Data cuts an ordered file list
+    (``read_parquet``, ``parquet_datasource.py:367``) or item list
+    (``from_items``) into ``override_num_blocks`` runs of those lengths; the
+    callers concatenate the groups in order. Within those counts the files
+    are spread by their uncompressed bytes, largest first onto the
+    least-loaded task, so a wave of uneven files is not held up by one task
+    that drew the largest ones (the reference bin-packs objects by size,
+    ``file_system_connector_utils.go:12-63``). A group lists its files in
+    index order.
+
+    None (one file per task, or Ray Data's default read) when there are
+    fewer non-empty files than CPUs, or no session: whole files would leave
+    CPUs idle. 0-row files do not count there but are placed."""
     cpus = int(_cluster_resources().get("CPU", 0))
-    if not cpus or len(sizes) < cpus:
+    if not cpus or sum(1 for md in footers if md.num_rows) < cpus:
         return None
-    target = phase1_block_target()
-    k = -(-sum(sizes) // (cpus * target)) if target else 1
-    return min(len(sizes), cpus * max(1, k))
+    size = [_uncompressed_bytes(md) for md in footers]
+    short, longer = divmod(len(footers), cpus)
+    tasks, load = [[] for _ in range(cpus)], [0] * cpus
+    for i in sorted(range(len(footers)), key=lambda i: -size[i]):
+        full = sum(len(t) > short for t in tasks) == longer
+        t = min((t for t in range(cpus) if len(tasks[t]) < short + (not full)),
+                key=load.__getitem__)
+        tasks[t].append(i)
+        load[t] += size[i]
+    return sorted((sorted(t) for t in tasks), key=lambda t: (-len(t), t))
 
 
-def read_parquet_dir(path: str, filesystem=None) -> ray.data.Dataset:
-    """The Parquet files under ``path`` in ``phase1_tasks`` read tasks, each
-    reading whole files, so no file is split and a map over the read fuses
-    into the read task (``tag_pages``). Ray Data's default parallelism,
-    used below one file per CPU, asks for at least two blocks per CPU and
-    splits files to get them (``SplitBlocks`` in the stats); the read is
-    then an operator of its own. ``filesystem``: optional pyarrow/fsspec
+def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
+    """The pages Parquet, its files in the read tasks of ``phase1_tasks``,
+    each reading whole files, so no file is split and the tag map fuses into
+    the read task (``tag_pages``). Below one file per CPU the read keeps Ray
+    Data's default parallelism, which asks for at least two blocks per CPU
+    and splits files to get them (``SplitBlocks`` in the stats); the read
+    is then an operator of its own. ``filesystem``: optional pyarrow/fsspec
     filesystem (the object-store seam — reference reads pages from S3,
     s3_connector.go:71-93).
 
@@ -210,16 +223,16 @@ def read_parquet_dir(path: str, filesystem=None) -> ray.data.Dataset:
     import pyarrow.dataset as pads
 
     from ..sources.fs import wrap_for_arrow
-    files = pads.dataset(path, format="parquet", filesystem=wrap_for_arrow(filesystem))
-    footers = {f.path: f.metadata for f in files.get_fragments()}
-    paths = [p for p, md in footers.items() if md.num_rows]
-    return ray.data.read_parquet(paths or files.files, filesystem=files.filesystem,
-                                 override_num_blocks=phase1_tasks(footers.values()))
-
-
-def read_pages(fixture_dir: str, filesystem=None) -> ray.data.Dataset:
-    """The fixture's pages Parquet (``read_parquet_dir``)."""
-    return read_parquet_dir(os.path.join(fixture_dir, "pages"), filesystem)
+    pages = pads.dataset(os.path.join(fixture_dir, "pages"), format="parquet",
+                         filesystem=wrap_for_arrow(filesystem))
+    files = [f for f in pages.get_fragments() if f.metadata.num_rows]
+    plan = phase1_tasks([f.metadata for f in files])
+    if plan is None:
+        return ray.data.read_parquet([f.path for f in files] or pages.files,
+                                     filesystem=pages.filesystem)
+    return ray.data.read_parquet([files[i].path for t in plan for i in t],
+                                 filesystem=pages.filesystem,
+                                 override_num_blocks=len(plan))
 
 
 def tag_kernel(cfg: KGConfig, fixture_dir: str):
@@ -261,8 +274,8 @@ def tag_pages(pages: ray.data.Dataset, cfg: KGConfig, fixture_dir: str) -> ray.d
     pipeline, owns the CPU slots.
 
     Read, extract and tag run as ONE operator of ``phase1_tasks`` tasks
-    (when the read splits no file, see ``read_parquet_dir``), each over
-    whole pages files: the tag map takes whole read blocks
+    (when the read splits no file, see ``read_pages``), each over whole
+    pages files: the tag map takes whole read blocks
     (``batch_size=None``) and feeds the kernel ``cfg.batch_size`` docs per
     call. A block split on the read, or a ``batch_size`` or a
     ``concurrency`` on this map (Ray fuses two task maps only when their

@@ -767,8 +767,8 @@ kg.TagDocs = CrashOnceTagDocs
 got = phase1_files("got")
 crashed_at = os.stat(MARKER).st_mtime_ns
 print(json.dumps({
-    "tasks": kg.phase1_tasks(pq.read_metadata(p)
-                             for p in glob.glob(os.path.join(fx, "pages", "*"))),
+    "tasks": kg.phase1_tasks([pq.read_metadata(p) for p in
+                              sorted(glob.glob(os.path.join(fx, "pages", "*")))]),
     "partitions_run": stats["got"]["partitions_run"],
     # a lineage entry holds its partition's wall time, so only the tables compare
     "same_bytes": ({f: b for f, (b, _) in got.items() if f.endswith(".parquet")}
@@ -810,7 +810,7 @@ def test_packed_phase1_task_resumes_after_worker_death(tiny_fixture, tmp_path):
     first = sorted([f"{t}/part-00000.parquet" for t in
                     ("docs", "groups", "mentions", "parts", "triples")]
                    + ["_lineage/part-00000.json"])
-    assert ok == {"tasks": 1, "partitions_run": 2, "same_bytes": True,
+    assert ok == {"tasks": [[0, 1]], "partitions_run": 2, "same_bytes": True,
                   "written_before_crash": first,
                   "written_after_crash": [f.replace("00000", "00001")
                                           for f in first]}, ok
@@ -873,40 +873,85 @@ def test_10k_pages_run_as_one_wave_of_fused_tasks(ray_session):
     assert _rows(docs, DOC).num_rows == 10000
 
 
+def _uneven_pages(pages_dir) -> list[str]:
+    """Nine pages files under ``pages_dir``: file i holds 80 - 10·i pages
+    (urls ``f{i}-{row}``), so its uncompressed bytes fall with i, and the
+    last one is empty (its footer still counts a few bytes). → their
+    paths."""
+    os.makedirs(pages_dir, exist_ok=True)
+    paths = []
+    for i, rows in enumerate([80, 70, 60, 50, 40, 30, 20, 10, 0]):
+        paths.append(os.path.join(pages_dir, f"part-{i:05d}.parquet"))
+        pq.write_table(pa.table({
+            "url": [f"f{i}-{j}" for j in range(rows)],
+            "html": ["<p>page %05d</p>" % j * 40 for j in range(rows)]},
+            schema=pa.schema([("url", pa.string()), ("html", pa.string())])),
+            paths[-1])
+    return paths
+
+
 def test_phase1_tasks_rule(tmp_path, monkeypatch):
-    """``phase1_tasks``: one task per CPU while the files' uncompressed
-    bytes fit ``phase1_block_target()`` per task, ``c·k`` tasks on a
-    smaller store (at most one per file), and Ray Data's default (None)
-    with fewer non-empty files than CPUs; a 0-row file does not count."""
+    """``phase1_tasks``: one task per CPU, ``f // c`` files each and one
+    more in the first ``f % c``, the files spread largest first onto the
+    least-loaded task, so files of uneven size pair up big with small (in
+    index order the two largest would share a task); None (Ray Data's
+    default) with fewer non-empty files than CPUs or no session. A 0-row
+    file does not count there but is placed."""
     from ner_backend_ray.pipelines import kg
 
-    table = pa.table({"html": ["<p>page %d</p>" % i * 50 for i in range(40)]})
-    paths = []
-    for i in range(12):
-        pq.write_table(table, tmp_path / f"part-{i:05d}.parquet")
-        paths.append(tmp_path / f"part-{i:05d}.parquet")
-    pq.write_table(table.slice(0, 0), tmp_path / "empty.parquet")
-    footers = [pq.read_metadata(p) for p in paths + [tmp_path / "empty.parquet"]]
-    total = sum(md.row_group(0).total_byte_size for md in footers[:-1])
+    footers = [pq.read_metadata(p) for p in _uneven_pages(str(tmp_path))]
+    size = [kg._uncompressed_bytes(md) for md in footers]
+    assert size == sorted(size, reverse=True), size
 
-    def plan(cpus: int, store: float) -> int | None:
-        monkeypatch.setattr(kg, "_cluster_resources", lambda: {
-            "CPU": float(cpus), "object_store_memory": store})
+    def plan(cpus: int):
+        monkeypatch.setattr(kg, "_cluster_resources", lambda: {"CPU": float(cpus)})
         return kg.phase1_tasks(footers)
 
-    big = 16e9
-    assert plan(4, big) == 4
-    assert plan(12, big) == 12
-    # target = store / (8 × 4 CPUs) = total / 6: k = 2 tasks per CPU
-    assert plan(4, 32 * -(-total // 6)) == 8
-    # a target of a byte: one task per file
-    assert plan(4, 32.0) == 12
-    # 12 non-empty files: 13 CPUs get Ray's default although there are
-    # 13 files
-    assert plan(13, big) is None
-    assert plan(16, big) is None
+    four = plan(4)
+    assert [len(t) for t in four] == [3, 2, 2, 2], four
+    assert {frozenset(t) - {8} for t in four} == {
+        frozenset({0, 7}), frozenset({1, 6}), frozenset({2, 5}), frozenset({3, 4})}
+    assert all(t == sorted(t) for t in four)
+    # one file per task, the empty one with the smallest
+    assert plan(8) == [[7, 8], [0], [1], [2], [3], [4], [5], [6]]
+    # 8 non-empty files: 9 CPUs get Ray's default although there are 9 files
+    assert plan(9) is None
     monkeypatch.setattr(kg, "_cluster_resources", lambda: {})
     assert kg.phase1_tasks(footers) is None
+
+
+def test_phase1_tasks_are_the_tasks_ray_runs(ray_session, tmp_path):
+    """Ray Data runs the groups of ``phase1_tasks`` as they are: each
+    streaming read task reads exactly one group's files (uneven files, so
+    the groups are not index-order runs), and the checkpointed runner's
+    task list, the groups concatenated, splits into exactly the groups."""
+    import ray
+    import ray.data
+
+    from ner_backend_ray.pipelines import kg
+
+    paths = _uneven_pages(str(tmp_path / "pages"))
+    plan = kg.phase1_tasks([pq.read_metadata(p) for p in paths[:8]])
+    assert len(plan) == int(ray.cluster_resources()["CPU"])
+
+    def files_of_task(block: pa.Table) -> pa.Table:
+        task = ray.get_runtime_context().get_task_id()
+        return pa.table({"task": [task] * block.num_rows,
+                         "file": [int(u[1:].split("-")[0])
+                                  for u in block["url"].to_pylist()]})
+
+    read = _collect(kg.read_pages(str(tmp_path)).map_batches(
+        files_of_task, batch_size=None, batch_format="pyarrow"))
+    by_task = {}
+    for task, i in zip(read["task"].to_pylist(), read["file"].to_pylist()):
+        by_task.setdefault(task, set()).add(i)
+    assert sorted(sorted(f) for f in by_task.values()) == sorted(plan)
+
+    items = ray.data.from_items([{"i": i} for t in plan for i in t],
+                                override_num_blocks=len(plan))
+    blocks = _collect(items.map_batches(
+        lambda b: {"files": [b["i"].tolist()]}, batch_size=None))
+    assert blocks["files"].to_pylist() == plan
 
 
 def test_tag_docs_independent_of_kernel_batch_size(ray_session, pages_2k):
@@ -958,9 +1003,9 @@ def oracle_2k(pages_2k):
 def test_small_phase1_target_keeps_fusion_and_graph(ray_session, pages_2k,
                                                     oracle_2k, monkeypatch):
     """With the phase-1 target forced to 1 MiB, read and tag still run as
-    one operator of one task per CPU (the 3.5 MB of pages fit 1 MiB per
-    task on 4 CPUs), and Ray slices their outputs into more blocks. The graph runs under the session's target
-    although the 2 MB of partials exceed 1.5 × the tag output's: under the
+    one operator of one task per CPU, and Ray slices their outputs into
+    more blocks. The graph runs under the session's target although the 2
+    MB of partials exceed 1.5 × the tag output's: under the
     one-task plan nodes is one block, and nodes, edges and key_map are
     byte-identical to the distributed plan's and equal the oracle."""
     import re
@@ -1416,7 +1461,7 @@ def test_phase1_parts_equal_streaming_partials(ray_session, tiny_fixture, tmp_pa
     run_phase1(tiny_fixture, out, KGConfig(), concurrency=2)
     written = pq.read_table(os.path.join(out, "parts"))
     monkeypatch.setattr(kg, "phase1_tasks",
-                        lambda footers: sum(1 for md in footers if md.num_rows))
+                        lambda footers: [[i] for i in range(len(footers))])
     docs = kg.tag_pages(kg.read_pages(tiny_fixture), KGConfig(), tiny_fixture)
     streamed = _collect(docs.map_batches(kg.combined_partials,
                                          batch_format="pyarrow"))
